@@ -3,6 +3,7 @@ package attest
 import (
 	"bytes"
 	"errors"
+	"math/big"
 	"testing"
 )
 
@@ -42,9 +43,49 @@ func TestFullAttestationFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deviceKey := CompleteExchange(verifierPub, x)
+	deviceKey, err := CompleteExchange(verifierPub, x)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if deviceKey != verifierKey {
 		t.Fatal("DH shared keys disagree")
+	}
+}
+
+// TestExchangeRejectsBadDHPub feeds each exchange helper a peer value
+// outside [2, p-2]: 0, 1 and p-1 confine the shared secret to a subgroup
+// of order at most 2, and p and -1 are not reduced residues.
+func TestExchangeRejectsBadDHPub(t *testing.T) {
+	_, d := testDevice(t)
+	q, x, err := d.Attest(launchHashFor("x"), []byte("n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		v    *big.Int
+	}{
+		{"0", big.NewInt(0)},
+		{"1", big.NewInt(1)},
+		{"p-1", new(big.Int).Sub(Group14P, big.NewInt(1))},
+		{"p", new(big.Int).Set(Group14P)},
+		{"-1", big.NewInt(-1)},
+		{"nil", nil},
+	} {
+		bad := q
+		bad.DHPub = tc.v
+		if _, _, err := VerifierExchange(bad); !errors.Is(err, ErrBadDHPub) {
+			t.Errorf("VerifierExchange(g^x=%s) err = %v, want ErrBadDHPub", tc.name, err)
+		}
+		if _, err := CompleteExchange(tc.v, x); !errors.Is(err, ErrBadDHPub) {
+			t.Errorf("CompleteExchange(g^y=%s) err = %v, want ErrBadDHPub", tc.name, err)
+		}
+	}
+	// The range ends themselves are valid group elements.
+	for _, v := range []*big.Int{big.NewInt(2), new(big.Int).Sub(Group14P, big.NewInt(2))} {
+		if err := checkDHPub(v); err != nil {
+			t.Errorf("checkDHPub(%x) = %v, want nil", v, err)
+		}
 	}
 }
 

@@ -91,7 +91,10 @@ func Pair(a Attester, aVendor *attest.Vendor, aHash [32]byte,
 	if err != nil {
 		return nil, nil, err
 	}
-	aKey := attest.CompleteExchange(bPub, xa)
+	aKey, err := attest.CompleteExchange(bPub, xa)
+	if err != nil {
+		return nil, nil, fmt.Errorf("enclave: complete exchange: %w", err)
+	}
 	if aKey != bKey {
 		return nil, nil, fmt.Errorf("enclave: key agreement failed")
 	}

@@ -262,8 +262,8 @@ func TestAttestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if attest.CompleteExchange(pub, x) != key {
-		t.Fatal("shared keys disagree")
+	if got, err := attest.CompleteExchange(pub, x); err != nil || got != key {
+		t.Fatalf("shared keys disagree (err %v)", err)
 	}
 	// A verifier expecting different initial state rejects the quote:
 	// this is how clients detect a NIC OS that mis-staged the image.
