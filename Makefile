@@ -9,7 +9,7 @@ GO ?= go
 # lock-discipline, factory, seed, and stdlib-only rules the goldens
 # depend on (see DESIGN.md "Enforced invariants").
 .PHONY: verify
-verify: build vet lint test race fleet resume
+verify: build vet lint test race fleet resume bench-test
 
 .PHONY: build
 build:
@@ -31,6 +31,13 @@ test:
 .PHONY: race
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness is its own module (it builds against this one
+# through a replace directive), so `go test ./...` never reaches it: run
+# its package tests from its directory.
+.PHONY: bench-test
+bench-test:
+	(cd bench && $(GO) test .)
 
 # Fleet scenario gate: the numbered end-to-end suite under the race
 # detector (a live snicd API served over real HTTP per scenario), plus a

@@ -3,11 +3,15 @@ package device
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"snic/internal/pkt"
 	"snic/internal/pktio"
+	"snic/internal/sim"
+	"snic/internal/snic"
 )
 
 func testSpec(model string) Spec {
@@ -235,6 +239,88 @@ func TestConformanceAttest(t *testing.T) {
 				t.Fatalf("attest on non-attesting device: %v", err)
 			}
 		})
+	}
+}
+
+// TestConformanceChurn: RunChurn leaves every model, cold and fast, as
+// it found it — nothing live, every core free, the fast-path
+// configuration restored — attests every launch where the capability
+// exists (cold; batched runs quote a subset), times nothing on models
+// without a latency model, and is a pure function of its seed.
+func TestConformanceChurn(t *testing.T) {
+	type sample struct {
+		phase ChurnPhase
+		ms    float64
+		n     int
+	}
+	run := func(t *testing.T, model string, fast bool) (NIC, ChurnCounts, []sample) {
+		t.Helper()
+		n, err := New(Spec{Model: model, Cores: 4, MemBytes: 16 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn, isSNIC := n.(*SNIC)
+		var before snic.FastPaths
+		if isSNIC {
+			before = sn.dev.FastPathConfig()
+		}
+		rng := sim.NewRand(7)
+		var seen []sample
+		c, err := RunChurn(n, Churn{
+			Events: 60, Target: 3, Batch: 2, Fast: fast,
+			Func: func(seq int) FuncSpec {
+				return FuncSpec{Name: fmt.Sprintf("fn-%d-%d", seq, rng.Intn(100)), MemBytes: 256 << 10}
+			},
+			Observe: func(p ChurnPhase, ms float64, k int) { seen = append(seen, sample{p, ms, k}) },
+		}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if isSNIC && sn.dev.FastPathConfig() != before {
+			t.Errorf("fast paths %+v after the run, want %+v restored", sn.dev.FastPathConfig(), before)
+		}
+		return n, c, seen
+	}
+	for _, model := range Models() {
+		for _, fast := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/fast=%v", model, fast), func(t *testing.T) {
+				n, c, seen := run(t, model, fast)
+				if n.Live() != 0 || n.FreeCores() != n.Cores() {
+					t.Errorf("after the run: %d live, %d/%d cores free", n.Live(), n.FreeCores(), n.Cores())
+				}
+				if c.Launches == 0 || c.Launches != c.Teardowns {
+					t.Errorf("launches %d, teardowns %d", c.Launches, c.Teardowns)
+				}
+				_, isSNIC := n.(*SNIC)
+				attested := 0
+				for _, s := range seen {
+					if s.phase == ChurnAttest {
+						attested += s.n
+					}
+				}
+				switch {
+				case !n.Caps().Has(Attestation):
+				case isSNIC && fast:
+					// A batch member torn down before its batch fills is
+					// never quoted, so batched runs attest a subset.
+					if c.Attests == 0 || c.Attests > c.Launches || uint64(attested) != c.Attests {
+						t.Errorf("batched attests %d (observed %d) of %d launches", c.Attests, attested, c.Launches)
+					}
+				case c.Attests != c.Launches:
+					t.Errorf("attests %d, want one per launch (%d)", c.Attests, c.Launches)
+				}
+				if !isSNIC && len(seen) != 0 {
+					t.Errorf("model without a latency model observed %d samples", len(seen))
+				}
+				if isSNIC && fast && c.PoolHits == 0 {
+					t.Errorf("fast path served no launch from the warm pool: %+v", c)
+				}
+				_, c2, seen2 := run(t, model, fast)
+				if c2 != c || !slices.Equal(seen2, seen) {
+					t.Errorf("same seed diverged: %+v vs %+v (%d vs %d samples)", c, c2, len(seen), len(seen2))
+				}
+			})
+		}
 	}
 }
 

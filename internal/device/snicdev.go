@@ -93,25 +93,8 @@ func (s *SNIC) EnableFastPaths(fp snic.FastPaths) {
 }
 
 func (s *SNIC) Launch(spec FuncSpec) (FuncID, error) {
-	spec.defaults()
-	mask, err := s.cores.pick(spec.CoreMask)
-	if err != nil {
-		return 0, err
-	}
-	rep, err := s.dev.Launch(snic.LaunchSpec{
-		CoreMask: mask,
-		Image:    spec.Image,
-		MemBytes: mem.AlignUp(spec.MemBytes, s.dev.Memory().FrameSize()),
-		Rules:    spec.Rules,
-		DMACore:  -1,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if _, err := s.cores.claim(rep.ID, mask); err != nil {
-		return 0, fmt.Errorf("device: core table out of sync: %w", err)
-	}
-	return rep.ID, nil
+	id, _, err := s.launch(spec, 0)
+	return id, err
 }
 
 // LaunchTimed launches like Launch but also returns the §4.2 per-phase
@@ -121,6 +104,12 @@ func (s *SNIC) Launch(spec FuncSpec) (FuncID, error) {
 // reservations would exhaust the physical TX buffer at a handful of
 // live functions.
 func (s *SNIC) LaunchTimed(spec FuncSpec) (FuncID, snic.LaunchReport, error) {
+	return s.launch(spec, 32<<10)
+}
+
+// launch binds spec to its cores and runs nf_launch with portBuf bytes
+// of port buffer per direction (0 = snic's per-function default).
+func (s *SNIC) launch(spec FuncSpec, portBuf uint64) (FuncID, snic.LaunchReport, error) {
 	spec.defaults()
 	mask, err := s.cores.pick(spec.CoreMask)
 	if err != nil {
@@ -131,8 +120,8 @@ func (s *SNIC) LaunchTimed(spec FuncSpec) (FuncID, snic.LaunchReport, error) {
 		Image:      spec.Image,
 		MemBytes:   mem.AlignUp(spec.MemBytes, s.dev.Memory().FrameSize()),
 		Rules:      spec.Rules,
-		RXBufBytes: 32 << 10,
-		TXBufBytes: 32 << 10,
+		RXBufBytes: portBuf,
+		TXBufBytes: portBuf,
 		DMACore:    -1,
 	})
 	if err != nil {
@@ -168,15 +157,8 @@ func (s *SNIC) live(id FuncID) error {
 }
 
 func (s *SNIC) Teardown(id FuncID) error {
-	if err := s.live(id); err != nil {
-		return err
-	}
-	if _, err := s.dev.Teardown(id); err != nil {
-		return err
-	}
-	s.cores.release(id)
-	delete(s.accelFree, id)
-	return nil
+	_, err := s.TeardownTimed(id)
+	return err
 }
 
 func (s *SNIC) Attest(id FuncID, nonce []byte) (attest.Quote, error) {

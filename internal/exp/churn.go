@@ -2,13 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 
 	"snic/internal/device"
 	"snic/internal/engine"
 	"snic/internal/obs"
 	"snic/internal/sim"
-	"snic/internal/snic"
 )
 
 // ChurnConfig parameterizes the serverless-churn sweep (λ-NIC-style
@@ -97,7 +95,7 @@ func (r *Runner) ChurnNF(cfg ChurnConfig) ([]ChurnRow, error) {
 	return runJobs(r, 0xC842, jobs)
 }
 
-// churnPhases accumulates one phase's simulated latencies into the same
+// churnPhase accumulates one phase's simulated latencies into the same
 // power-of-two cycle buckets obs histograms use, plus an attached obs
 // histogram when a collector is present (write-only: the row
 // percentiles come from the job-local buckets).
@@ -118,224 +116,72 @@ func (p *churnPhase) quantileMS(q float64) float64 {
 	return p.local.Quantile(q) / obs.CyclesPerMS
 }
 
-// churnOne drives one device model through cfg.Events lifecycle events:
-// launch toward the steady-state target, attest (individually when
-// cold, in Merkle batches when fast), and tear down pseudo-random
-// victims once the target is reached. All randomness comes from the
-// job's derived rng, so the row is a pure function of (model, mode,
-// cfg).
+// churnOne drives one device model through cfg.Events lifecycle events
+// of device.RunChurn (attesting individually when cold, in Merkle
+// batches when fast). All randomness comes from the job's derived rng,
+// so the row is a pure function of (model, mode, cfg).
 func churnOne(reg *obs.Registry, model, mode string, cfg ChurnConfig, rng *sim.Rand) (ChurnRow, error) {
 	scope := "churn/" + model + "/" + mode
-	const cores = 12
 	n, err := device.New(device.Spec{
-		Model: model, Cores: cores, MemBytes: 64 << 20, FrameSize: 128 << 10,
+		Model: model, Cores: 12, MemBytes: 64 << 20, FrameSize: 128 << 10,
 		Serial: scope,
 	})
 	if err != nil {
 		return ChurnRow{}, err
 	}
-	target := cfg.Target
-	if target > cores {
-		target = cores
-	}
-
-	row := ChurnRow{Model: model, Mode: mode}
-	var launch, attestPh, tear churnPhase
+	var phases [3]churnPhase // indexed by device.ChurnPhase
 	if reg != nil {
-		mk := func(name string) *obs.Histogram {
-			return reg.Histogram(obs.Label{Device: scope, Owner: "-", Component: "churn", Name: name})
-		}
-		launch.hist = mk("launch_cycles")
-		attestPh.hist = mk("attest_cycles")
-		tear.hist = mk("teardown_cycles")
-	}
-
-	sn, isSNIC := n.(*device.SNIC)
-	var dev *snic.Device
-	if isSNIC {
-		dev = sn.Underlying()
-		dev.Observe(reg, scope)
-		if mode == "fast" {
-			sn.EnableFastPaths(snic.FastPaths{WarmPool: true, ParallelScrub: true})
+		for p, name := range []string{"launch_cycles", "attest_cycles", "teardown_cycles"} {
+			phases[p].hist = reg.Histogram(obs.Label{Device: scope, Owner: "-", Component: "churn", Name: name})
 		}
 	}
-	batch := 1
-	if mode == "fast" {
-		batch = cfg.Batch
+	if sn, ok := n.(*device.SNIC); ok {
+		sn.Underlying().Observe(reg, scope)
 	}
 
-	// freeCores hands out the lowest free core, deterministically.
-	freeCores := make([]int, cores)
-	for i := range freeCores {
-		freeCores[i] = i
-	}
-	coreOf := map[device.FuncID]int{}
-	var live, pending []device.FuncID
-	nonce := []byte("churn-nonce")
-	var liveSum uint64
-
-	attestBatch := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		if isSNIC {
-			if batch > 1 {
-				_, _, _, totalMS, err := dev.AttestNFBatch(pending, nonce)
-				if err != nil {
-					return err
-				}
-				per := totalMS / float64(len(pending))
-				for range pending {
-					attestPh.observe(per)
-				}
-			} else {
-				for _, id := range pending {
-					_, _, ms, err := dev.AttestNF(id, nonce)
-					if err != nil {
-						return err
-					}
-					attestPh.observe(ms)
-				}
-			}
-			row.Attests += uint64(len(pending))
-		} else {
-			// Commodity models without attestation fall through with
-			// zero attests; a model that grows the capability counts.
-			for _, id := range pending {
-				if _, err := n.Attest(id, nonce); err == nil {
-					row.Attests++
-				}
-			}
-		}
-		pending = pending[:0]
-		return nil
-	}
-
-	doLaunch := func(seq int) error {
-		img := []byte(fmt.Sprintf("%s fn %05d pad %0*d", scope, seq, 64+rng.Intn(192), 0))
-		var id device.FuncID
-		if isSNIC {
-			core := freeCores[0]
-			freeCores = freeCores[1:]
-			rep, err := dev.Launch(snic.LaunchSpec{
-				CoreMask: 1 << uint(core),
-				Image:    img,
-				MemBytes: cfg.MemMB << 20,
-				// Small per-NF port reservations so a full core's worth
-				// of functions fits inside the physical RX/TX buffers.
-				RXBufBytes: 32 << 10,
-				TXBufBytes: 32 << 10,
-				DMACore:    -1,
-			})
-			if err != nil {
-				return err
-			}
-			id = rep.ID
-			coreOf[id] = core
-			launch.observe(rep.TotalMS())
-			if rep.PoolHit {
-				row.PoolHits++
-			} else if mode == "fast" {
-				row.PoolMisses++
-			}
-		} else {
-			var err error
-			id, err = n.Launch(device.FuncSpec{
+	c, err := device.RunChurn(n, device.Churn{
+		Events: cfg.Events, Target: cfg.Target, Batch: cfg.Batch, Fast: mode == "fast",
+		Func: func(seq int) device.FuncSpec {
+			return device.FuncSpec{
 				Name:     fmt.Sprintf("fn-%05d", seq),
-				Image:    img,
+				Image:    []byte(fmt.Sprintf("%s fn %05d pad %0*d", scope, seq, 64+rng.Intn(192), 0)),
 				MemBytes: cfg.MemMB << 20,
-			})
-			if err != nil {
-				return err
 			}
-		}
-		live = append(live, id)
-		pending = append(pending, id)
-		row.Launches++
-		return nil
-	}
-
-	doTeardown := func(k int) error {
-		id := live[k]
-		live = append(live[:k], live[k+1:]...)
-		for i, p := range pending {
-			if p == id {
-				pending = append(pending[:i], pending[i+1:]...)
-				break
+		},
+		// A batched quote's latency splits evenly across its members.
+		Observe: func(p device.ChurnPhase, ms float64, n int) {
+			per := ms / float64(n)
+			for range n {
+				phases[p].observe(per)
 			}
-		}
-		if isSNIC {
-			rep, err := dev.Teardown(id)
-			if err != nil {
-				return err
-			}
-			tear.observe(rep.TotalMS())
-			c := coreOf[id]
-			delete(coreOf, id)
-			freeCores = append(freeCores, c)
-			sort.Ints(freeCores)
-		} else if err := n.Teardown(id); err != nil {
-			return err
-		}
-		row.Teardowns++
-		return nil
-	}
-
-	for ev, seq := 0, 0; ev < cfg.Events; ev++ {
-		if len(live) < target {
-			err := doLaunch(seq)
-			seq++
-			switch {
-			case err == nil:
-				if len(pending) >= batch {
-					if err := attestBatch(); err != nil {
-						return ChurnRow{}, err
-					}
-				}
-			case isSNIC:
-				// The S-NIC reclaims everything at teardown, so a
-				// refused launch is a harness bug, not a model finding.
-				return ChurnRow{}, err
-			default:
-				// Commodity allocators may legitimately exhaust under
-				// churn (BlueField's secure world is bump-only). Count
-				// the refusal and keep the workload cycling.
-				row.Fails++
-				if len(live) > 0 {
-					if err := doTeardown(rng.Intn(len(live))); err != nil {
-						return ChurnRow{}, err
-					}
-				}
-			}
-		} else {
-			if err := doTeardown(rng.Intn(len(live))); err != nil {
-				return ChurnRow{}, err
-			}
-		}
-		liveSum += uint64(len(live))
-	}
-	// Drain: quote the stragglers, then tear everything down so the
-	// occupancy gauge ends at zero.
-	if err := attestBatch(); err != nil {
+		},
+	}, rng)
+	if err != nil {
 		return ChurnRow{}, err
 	}
-	for len(live) > 0 {
-		if err := doTeardown(len(live) - 1); err != nil {
-			return ChurnRow{}, err
-		}
+	// The S-NIC reclaims everything at teardown, so a refused launch is
+	// a harness bug, not a model finding.
+	if model == "snic" && c.Fails > 0 {
+		return ChurnRow{}, fmt.Errorf("churn: %s refused %d launches", scope, c.Fails)
 	}
 
-	row.LiveAvg = float64(liveSum) / float64(cfg.Events)
-	row.SimMS = launch.sumMS + attestPh.sumMS + tear.sumMS
+	launch, attestPh, tear := &phases[device.ChurnLaunch], &phases[device.ChurnAttest], &phases[device.ChurnTeardown]
+	row := ChurnRow{
+		Model: model, Mode: mode,
+		Launches: c.Launches, Fails: c.Fails, Attests: c.Attests, Teardowns: c.Teardowns,
+		PoolHits: c.PoolHits, PoolMisses: c.PoolMisses,
+		LiveAvg:   float64(c.LiveSum) / float64(cfg.Events),
+		SimMS:     launch.sumMS + attestPh.sumMS + tear.sumMS,
+		LaunchP50: launch.quantileMS(0.50),
+		LaunchP99: launch.quantileMS(0.99),
+		AttestP50: attestPh.quantileMS(0.50),
+		AttestP99: attestPh.quantileMS(0.99),
+		TearP50:   tear.quantileMS(0.50),
+		TearP99:   tear.quantileMS(0.99),
+	}
 	if row.SimMS > 0 {
 		row.PerSec = float64(row.Launches) / (row.SimMS / 1e3)
 	}
-	row.LaunchP50 = launch.quantileMS(0.50)
-	row.LaunchP99 = launch.quantileMS(0.99)
-	row.AttestP50 = attestPh.quantileMS(0.50)
-	row.AttestP99 = attestPh.quantileMS(0.99)
-	row.TearP50 = tear.quantileMS(0.50)
-	row.TearP99 = tear.quantileMS(0.99)
 	return row, nil
 }
 

@@ -93,6 +93,10 @@ func TestAPIStatusCodes(t *testing.T) {
 		{"bad burst body", "POST", "/v1/burst", `[]`, 400},
 		{"bad advance body", "POST", "/v1/advance", `{"cycles":"soon"}`, 400},
 		{"nf without name", "POST", "/v1/tenants/acme/nfs", `{}`, 400},
+		{"churn negative events", "POST", "/v1/churn", `{"events":-1}`, 400},
+		{"churn negative target", "POST", "/v1/churn", `{"target":-2}`, 400},
+		{"churn negative batch", "POST", "/v1/churn", `{"batch":-4,"fast_path":true}`, 400},
+		{"churn mem_mb wraps", "POST", "/v1/churn", `{"mem_mb":17592186044416}`, 400},
 
 		{"place on unknown tenant", "POST", "/v1/tenants/ghost/nfs", `{"name":"fw"}`, 404},
 		{"evict unknown tenant", "DELETE", "/v1/tenants/ghost", "", 404},
@@ -121,6 +125,43 @@ func TestAPIStatusCodes(t *testing.T) {
 				t.Errorf("response is not a JSON envelope: %q", body)
 			}
 		})
+	}
+}
+
+// TestAPIChurnRejectLeavesState: a rejected churn body changes nothing
+// — not the stats, not the clock, and not the round counter, so the
+// next accepted run is still round 000.
+func TestAPIChurnRejectLeavesState(t *testing.T) {
+	m, srv := newTestServer(t)
+	seedFleet(t, srv)
+	_, stats0 := do(t, srv, "GET", "/v1/oper/stats", "")
+	clock0 := m.Clock()
+
+	for _, body := range []string{
+		`{"events":-1}`, `{"target":-1}`, `{"batch":-1}`,
+		`{"mem_mb":17592186044416}`, `{"mem_mb":18446744073709551615}`,
+	} {
+		if got, resp := do(t, srv, "POST", "/v1/churn", body); got != 400 {
+			t.Fatalf("churn %s = %d, want 400\n%s", body, got, resp)
+		}
+	}
+	if _, stats := do(t, srv, "GET", "/v1/oper/stats", ""); stats != stats0 {
+		t.Errorf("stats changed after rejected churns:\n%s\nwant:\n%s", stats, stats0)
+	}
+	if c := m.Clock(); c != clock0 {
+		t.Errorf("clock moved %d -> %d after rejected churns", clock0, c)
+	}
+
+	got, body := do(t, srv, "POST", "/v1/churn", `{"events":8,"target":2,"batch":4}`)
+	if got != 200 {
+		t.Fatalf("valid churn = %d\n%s", got, body)
+	}
+	var res ChurnResult
+	if err := json.Unmarshal([]byte(body), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Churn != 0 || res.Launches == 0 {
+		t.Errorf("first accepted churn = round %03d with %d launches, want round 000 with launches", res.Churn, res.Launches)
 	}
 }
 

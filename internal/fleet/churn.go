@@ -2,13 +2,13 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"snic/internal/device"
 	"snic/internal/engine"
 	"snic/internal/obs"
 	"snic/internal/sim"
-	"snic/internal/snic"
 )
 
 // ChurnSpec is one serverless-churn run (POST /v1/churn): every active
@@ -48,6 +48,19 @@ func (s *ChurnSpec) defaults() {
 	if s.MemMB == 0 {
 		s.MemMB = 1
 	}
+}
+
+// validate rejects a body the run cannot honour before any state
+// changes: negative counts, and a reservation whose byte size wraps
+// (and would then default to 1 MB launches).
+func (s ChurnSpec) validate() error {
+	switch {
+	case s.Events < 0 || s.Target < 0 || s.Batch < 0:
+		return fmt.Errorf("fleet: churn events, target and batch must be non-negative")
+	case s.MemMB > math.MaxUint64>>20:
+		return fmt.Errorf("fleet: churn mem_mb %d overflows a byte count", s.MemMB)
+	}
+	return nil
 }
 
 // DeviceChurn is one device's slice of a churn run — and, accumulated
@@ -104,6 +117,9 @@ type ChurnResult struct {
 // stream, so the result — and every golden downstream of it — is
 // byte-identical at any worker count.
 func (m *Manager) Churn(spec ChurnSpec) (ChurnResult, error) {
+	if err := spec.validate(); err != nil {
+		return ChurnResult{}, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	spec.defaults()
@@ -160,164 +176,24 @@ func (m *Manager) Churn(spec ChurnSpec) (ChurnResult, error) {
 	return out, nil
 }
 
-// churnDevice runs one device's churn loop: launch ephemeral functions
-// toward the steady-state target, attest them (individually, or in
-// Merkle batches on the fast path), tear down rng-chosen victims at the
-// target, and drain everything before returning. md is owned
-// exclusively by this job (see fanOutLocked).
+// churnDevice runs one device's slice of a churn run through
+// device.RunChurn and books it on the device's obs counters and trace
+// track. md is owned exclusively by this job (see fanOutLocked).
 func (m *Manager) churnDevice(md *managedDevice, spec ChurnSpec, round, start uint64, rng *sim.Rand) (DeviceChurn, error) {
 	out := DeviceChurn{Device: md.name}
-
-	sn, isSNIC := md.nic.(*device.SNIC)
-	var poolH0, poolM0 uint64
-	if isSNIC {
-		if spec.FastPath {
-			prev := sn.Underlying().FastPathConfig()
-			sn.EnableFastPaths(snic.FastPaths{WarmPool: true, ParallelScrub: true})
-			// Restoring the prior configuration drains any parked frames
-			// back to the free list, so later placements see the same
-			// allocator the scheduler's capacity vector promises.
-			defer sn.Underlying().SetFastPaths(prev)
-		}
-		poolH0, poolM0 = sn.Underlying().PoolStats()
-	}
-	batch := 1
-	if isSNIC && spec.FastPath {
-		batch = spec.Batch
-	}
-
-	target := spec.Target
-	if free := md.nic.FreeCores(); target > free {
-		target = free
-	}
-
-	var live, pending []device.FuncID
-	nonce := []byte("fleet-churn")
-
-	attestBatch := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		if isSNIC {
-			if batch > 1 {
-				_, _, _, ms, err := sn.Underlying().AttestNFBatch(pending, nonce)
-				if err != nil {
-					return err
-				}
-				out.SimMS += ms
-			} else {
-				for _, id := range pending {
-					_, _, ms, err := sn.Underlying().AttestNF(id, nonce)
-					if err != nil {
-						return err
-					}
-					out.SimMS += ms
-				}
-			}
-			out.Attests += uint64(len(pending))
-		} else {
-			// Commodity models without attestation fall through with zero
-			// attests; a model that grows the capability counts.
-			for _, id := range pending {
-				if _, err := md.nic.Attest(id, nonce); err == nil {
-					out.Attests++
-				}
-			}
-		}
-		pending = pending[:0]
-		return nil
-	}
-
-	doLaunch := func(seq int) bool {
-		fspec := device.FuncSpec{
-			Name:     fmt.Sprintf("churn-%03d-%04d", round, seq),
-			MemBytes: spec.MemMB << 20,
-		}
-		var id device.FuncID
-		var err error
-		if isSNIC {
-			var rep snic.LaunchReport
-			id, rep, err = sn.LaunchTimed(fspec)
-			if err == nil {
-				out.SimMS += rep.TotalMS()
-			}
-		} else {
-			id, err = md.nic.Launch(fspec)
-		}
-		if err != nil {
-			// A refused launch is a model finding, not a harness error:
-			// bump-only secure allocators exhaust under sustained churn.
-			out.Fails++
-			return false
-		}
-		live = append(live, id)
-		pending = append(pending, id)
-		out.Launches++
-		return true
-	}
-
-	doTeardown := func(k int) error {
-		id := live[k]
-		live = append(live[:k], live[k+1:]...)
-		for i, p := range pending {
-			if p == id {
-				pending = append(pending[:i], pending[i+1:]...)
-				break
-			}
-		}
-		if isSNIC {
-			rep, err := sn.TeardownTimed(id)
-			if err != nil {
-				return err
-			}
-			out.SimMS += rep.TotalMS()
-		} else if err := md.nic.Teardown(id); err != nil {
-			return err
-		}
-		out.Teardowns++
-		return nil
-	}
-
-	for ev, seq := 0, 0; target > 0 && ev < spec.Events; ev++ {
-		if len(live) < target {
-			ok := doLaunch(seq)
-			seq++
-			switch {
-			case ok:
-				if len(pending) >= batch {
-					if err := attestBatch(); err != nil {
-						return out, err
-					}
-				}
-			case len(live) > 0:
-				// Recycle a victim so a refusing device keeps exercising
-				// the teardown path instead of stalling the loop.
-				if err := doTeardown(rng.Intn(len(live))); err != nil {
-					return out, err
-				}
-			}
-		} else {
-			if err := doTeardown(rng.Intn(len(live))); err != nil {
-				return out, err
-			}
-		}
-	}
-	// Drain: quote the stragglers, then tear everything down so the
-	// device leaves the run exactly as it entered (placements intact).
-	if err := attestBatch(); err != nil {
+	c, err := device.RunChurn(md.nic, device.Churn{
+		Events: spec.Events, Target: spec.Target, Batch: spec.Batch, Fast: spec.FastPath,
+		Func: func(seq int) device.FuncSpec {
+			return device.FuncSpec{Name: fmt.Sprintf("churn-%03d-%04d", round, seq), MemBytes: spec.MemMB << 20}
+		},
+		// Summed in event order: the JSON carries sim_ms at full precision.
+		Observe: func(_ device.ChurnPhase, ms float64, _ int) { out.SimMS += ms },
+	}, rng)
+	if err != nil {
 		return out, err
 	}
-	for len(live) > 0 {
-		if err := doTeardown(len(live) - 1); err != nil {
-			return out, err
-		}
-	}
-
-	if isSNIC {
-		h, ms := sn.Underlying().PoolStats()
-		out.PoolHits = h - poolH0
-		out.PoolMisses = ms - poolM0
-	}
+	out.Launches, out.Fails, out.Attests, out.Teardowns = c.Launches, c.Fails, c.Attests, c.Teardowns
+	out.PoolHits, out.PoolMisses = c.PoolHits, c.PoolMisses
 	out.PerSec = perSec(out.Launches, out.SimMS)
 
 	lbl := func(name string) obs.Label {
