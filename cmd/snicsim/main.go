@@ -9,17 +9,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"snic/internal/bus"
-	"snic/internal/cache"
-	"snic/internal/cpu"
 	"snic/internal/device"
-	"snic/internal/mem"
+	"snic/internal/exp"
 	"snic/internal/nf"
-	"snic/internal/sim"
-	"snic/internal/trace"
 )
 
 func main() {
@@ -36,63 +32,24 @@ func main() {
 	if *models != "all" {
 		list = strings.Split(*models, ",")
 	}
-	if err := run(names, list, *l2Size, *instr, *seed); err != nil {
+	if err := run(os.Stdout, names, list, *l2Size, *instr, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "snicsim:", err)
 		os.Exit(1)
 	}
 }
 
-// scenario runs the co-located NF mix under one model's cache policy and
-// bus arbiter and returns per-NF IPC.
-func scenario(names []string, dev device.NIC, l2Size, instr, seed uint64) ([]float64, error) {
-	n := len(names)
-	policy := dev.CachePolicy()
-	arb := dev.NewBusArbiter(n)
-	ways := 16
-	if policy == cache.Static && ways < n {
-		ways = n
-	}
-	l2, err := cache.New(cache.Config{
-		Name: "L2", Size: l2Size, LineSize: 64, Ways: ways,
-		Policy: policy, Domains: n,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr := bus.NewTracker(arb, n)
-	rng := sim.NewRand(seed)
-	pool := trace.NewICTF(rng.Fork(), 50000)
-	cfg := nf.SuiteConfig{FirewallRules: 643, DPIPatterns: 4000, Routes: 8000, Seed: seed}
-	cores := make([]*cpu.Core, n)
-	streams := make([]cpu.Stream, n)
+// run writes the per-model IPC table for one NF mix to w.
+func run(w io.Writer, names, models []string, l2Size, instr, seed uint64) error {
 	for i, name := range names {
-		f, err := nf.New(strings.TrimSpace(name), cfg)
-		if err != nil {
-			return nil, err
-		}
-		l1, err := cache.New(cache.Config{
-			Name: "L1", Size: 32 << 10, LineSize: 64, Ways: 4, Domains: 1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cores[i] = &cpu.Core{Domain: i, L1: l1, L2: l2, Bus: tr, Lat: cpu.DefaultLatencies()}
-		streams[i] = f.NewStream(sim.NewRand(seed+uint64(i)+1), pool, mem.Addr(i+1)<<32)
+		names[i] = strings.TrimSpace(name)
 	}
-	r := &cpu.Runner{Cores: cores, Streams: streams}
-	r.RunInstr(instr / 4) // warmup
-	for _, c := range cores {
-		c.ResetCounters()
+	cfg := exp.Fig5Config{
+		Suite:        nf.SuiteConfig{FirewallRules: 643, DPIPatterns: 4000, Routes: 8000, Seed: seed},
+		PoolFlows:    50000,
+		WarmupInstr:  instr / 4,
+		MeasureInstr: instr,
+		Seed:         seed,
 	}
-	r.RunInstr(instr)
-	ipcs := make([]float64, n)
-	for i, c := range cores {
-		ipcs[i] = c.IPC()
-	}
-	return ipcs, nil
-}
-
-func run(names, models []string, l2Size, instr, seed uint64) error {
 	ipcs := make(map[string][]float64, len(models))
 	for i, m := range models {
 		models[i] = strings.TrimSpace(m)
@@ -100,7 +57,7 @@ func run(names, models []string, l2Size, instr, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		out, err := scenario(names, dev, l2Size, instr, seed)
+		out, err := exp.CoTenancyIPC(cfg, names, l2Size, dev)
 		if err != nil {
 			return err
 		}
@@ -117,27 +74,23 @@ func run(names, models []string, l2Size, instr, seed uint64) error {
 		}
 	}
 	withDeg := commodity != "" && ipcs["snic"] != nil
-	fmt.Printf("%-6s", "NF")
+	fmt.Fprintf(w, "%-6s", "NF")
 	for _, m := range models {
-		fmt.Printf(" %-14s", m)
+		fmt.Fprintf(w, " %-14s", m)
 	}
 	if withDeg {
-		fmt.Printf(" %s", "S-NIC deg")
+		fmt.Fprintf(w, " %s", "S-NIC deg")
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for i, name := range names {
-		fmt.Printf("%-6s", strings.TrimSpace(name))
+		fmt.Fprintf(w, "%-6s", name)
 		for _, m := range models {
-			fmt.Printf(" %-14.3f", ipcs[m][i])
+			fmt.Fprintf(w, " %-14.3f", ipcs[m][i])
 		}
 		if withDeg {
-			d := (ipcs[commodity][i] - ipcs["snic"][i]) / ipcs[commodity][i] * 100
-			if d < 0 {
-				d = 0
-			}
-			fmt.Printf(" %.2f%%", d)
+			fmt.Fprintf(w, " %.2f%%", exp.Degradation(ipcs[commodity][i], ipcs["snic"][i]))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"snic/internal/bus"
 	"snic/internal/cache"
 	"snic/internal/mem"
+	"snic/internal/obs"
 	"snic/internal/pktio"
 )
 
@@ -78,6 +79,9 @@ func (c *commBase) CachePolicy() cache.Policy { return cache.Shared }
 
 // NewBusArbiter: first-come-first-served, no reservations (§3.3).
 func (c *commBase) NewBusArbiter(int) bus.Arbiter { return bus.NewFIFO() }
+
+// Observe: commodity models carry no native instrumentation.
+func (c *commBase) Observe(*obs.Registry, string) {}
 
 func (c *commBase) BusOp(client int, now uint64) (uint64, error) {
 	return c.bus.op(client, now)

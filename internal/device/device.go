@@ -23,6 +23,7 @@ import (
 	"snic/internal/bus"
 	"snic/internal/cache"
 	"snic/internal/mem"
+	"snic/internal/obs"
 	"snic/internal/pktio"
 	"snic/internal/snic"
 )
@@ -212,6 +213,12 @@ type NIC interface {
 	// delay). The delay is the §3.2 side channel on shared units; with
 	// PrivateAccel it is always zero.
 	AcceleratorOp(id FuncID, now uint64) (done, waited uint64)
+
+	// Observe attaches the model's native instrumentation to reg:
+	// trusted-instruction spans on the named trace track and metric
+	// counters under the device serial. A nil reg leaves the device
+	// detached.
+	Observe(reg *obs.Registry, track string)
 }
 
 // Spec declaratively describes a device to build. Model selects the

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"snic/internal/obs"
 	"snic/internal/pkt"
 	"snic/internal/pktio"
 	"snic/internal/sim"
@@ -391,6 +392,41 @@ func TestConformanceResources(t *testing.T) {
 			}
 			if r.AccelClusters <= 0 {
 				t.Fatalf("Resources().AccelClusters = %d", r.AccelClusters)
+			}
+		})
+	}
+}
+
+// TestConformanceObserve: attaching instrumentation never panics, a nil
+// registry is a no-op, commodity models register no series, and S-NIC
+// reports its counters and trusted-instruction spans.
+func TestConformanceObserve(t *testing.T) {
+	empty := obs.NewRegistry()
+	for _, model := range Models() {
+		t.Run(model, func(t *testing.T) {
+			dev := build(t, model)
+			dev.Observe(nil, "conf")
+			reg := obs.NewRegistry()
+			dev.Observe(reg, "conf")
+			id, err := dev.Launch(FuncSpec{Name: "a", MemBytes: 256 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.Teardown(id); err != nil {
+				t.Fatal(err)
+			}
+			metrics, trace := reg.DumpMetrics(), reg.TraceText()
+			if _, native := dev.(*SNIC); !native {
+				if metrics != empty.DumpMetrics() || trace != empty.TraceText() {
+					t.Fatalf("commodity model registered series:\n%s%s", metrics, trace)
+				}
+				return
+			}
+			if metrics == empty.DumpMetrics() {
+				t.Fatal("S-NIC registered no metric series")
+			}
+			if !strings.Contains(trace, "track conf") {
+				t.Fatalf("S-NIC trace has no conf track:\n%s", trace)
 			}
 		})
 	}

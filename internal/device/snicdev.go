@@ -7,6 +7,7 @@ import (
 	"snic/internal/bus"
 	"snic/internal/cache"
 	"snic/internal/mem"
+	"snic/internal/obs"
 	"snic/internal/snic"
 	"snic/internal/tlb"
 )
@@ -282,9 +283,14 @@ func (s *SNIC) Live() int         { return s.dev.LiveNFs() }
 
 func (s *SNIC) CachePolicy() cache.Policy { return cache.Static }
 
+// NewBusArbiter: temporal partitioning (§4.5), the epoch sized so one
+// DRAM transaction fits the dead time.
 func (s *SNIC) NewBusArbiter(clients int) bus.Arbiter {
 	return bus.NewTemporal(clients, 60, 10)
 }
+
+// Observe forwards to the S-NIC device's span and counter attach.
+func (s *SNIC) Observe(reg *obs.Registry, track string) { s.dev.Observe(reg, track) }
 
 func (s *SNIC) BusOp(client int, now uint64) (uint64, error) {
 	return s.bus.op(client, now)

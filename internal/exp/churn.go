@@ -135,9 +135,7 @@ func churnOne(reg *obs.Registry, model, mode string, cfg ChurnConfig, rng *sim.R
 			phases[p].hist = reg.Histogram(obs.Label{Device: scope, Owner: "-", Component: "churn", Name: name})
 		}
 	}
-	if sn, ok := n.(*device.SNIC); ok {
-		sn.Underlying().Observe(reg, scope)
-	}
+	n.Observe(reg, scope)
 
 	c, err := device.RunChurn(n, device.Churn{
 		Events: cfg.Events, Target: cfg.Target, Batch: cfg.Batch, Fast: mode == "fast",

@@ -6,6 +6,7 @@ import (
 	"snic/internal/bus"
 	"snic/internal/cache"
 	"snic/internal/cpu"
+	"snic/internal/device"
 	"snic/internal/engine"
 	"snic/internal/mem"
 	"snic/internal/nf"
@@ -60,35 +61,43 @@ type Fig5Row struct {
 }
 
 // colocation simulates one group of NFs co-located on one NIC and
-// returns each NF's IPC under (baseline shared hardware) and (S-NIC
-// partitioned hardware) with the same cache size and co-tenancy —
-// exactly the §5.3 comparison. With a collector attached, the shared L2
-// and the bus tracker report per-domain counters under
-// "<scope>/<policy>" so the two configurations stay distinguishable.
-func colocation(cfg Fig5Config, reg *obs.Registry, scope string, names []string, l2Size uint64) (base, snicIPC []float64, err error) {
-	base, err = runGroup(cfg, reg, scope+"/"+cache.Shared.String(), names, l2Size,
+// returns each NF's IPC on commodity hardware (shared L2, FIFO bus) and
+// on dev's own L2 policy and bus arbiter, with the same cache size and
+// co-tenancy — exactly the §5.3 comparison when dev is S-NIC. With a
+// collector attached, the L2 and the bus tracker report per-domain
+// counters under "<scope>/base" and "<scope>/dev"; the sides are not
+// named after their policies because a commodity dev is itself
+// "shared".
+func colocation(cfg Fig5Config, reg *obs.Registry, scope string, names []string, l2Size uint64, dev device.NIC) (base, devIPC []float64, err error) {
+	base, err = runGroup(cfg, reg, scope+"/base", names, l2Size,
 		cache.Shared, func(int) bus.Arbiter { return bus.NewFIFO() })
 	if err != nil {
 		return nil, nil, err
 	}
-	snicIPC, err = runGroup(cfg, reg, scope+"/"+cache.Static.String(), names, l2Size,
-		cache.Static, func(n int) bus.Arbiter {
-			// Epoch sized so one DRAM transaction fits the dead time.
-			return bus.NewTemporal(n, 60, 10)
-		})
+	devIPC, err = runGroup(cfg, reg, scope+"/dev", names, l2Size,
+		dev.CachePolicy(), dev.NewBusArbiter)
 	if err != nil {
 		return nil, nil, err
 	}
-	return base, snicIPC, nil
+	return base, devIPC, nil
 }
 
-// runGroup simulates one co-located NF group under one cache policy and
-// bus arbiter, returning each NF's measured IPC. device labels the
-// metric scope when a collector is attached. NF models and the workload
-// pool come from the process-wide memo caches (see memo.go); every run
-// still gets private L1s, a private L2, fresh per-stream RNGs, and a
-// fresh pool instantiation, so runs never share mutable state.
-func runGroup(cfg Fig5Config, reg *obs.Registry, device string, names []string, l2Size uint64,
+// CoTenancyIPC runs one co-located NF mix on dev's L2 policy and bus
+// arbiter and returns each NF's measured IPC. cfg is used exactly as
+// given — no defaults are filled in — so Suite, PoolFlows and Seed must
+// be set, and zero windows measure nothing (every IPC reads 0).
+func CoTenancyIPC(cfg Fig5Config, names []string, l2Size uint64, dev device.NIC) ([]float64, error) {
+	return runGroup(cfg, nil, "", names, l2Size, dev.CachePolicy(), dev.NewBusArbiter)
+}
+
+// runGroup is the one co-tenancy simulator: it runs one co-located NF
+// group under one cache policy and bus arbiter, returning each NF's
+// measured IPC. scope labels the metrics when a collector is attached.
+// NF models and the workload pool come from the process-wide memo
+// caches (see memo.go); every run still gets private L1s, a private L2,
+// fresh per-stream RNGs, and a fresh pool instantiation, so runs never
+// share mutable state.
+func runGroup(cfg Fig5Config, reg *obs.Registry, scope string, names []string, l2Size uint64,
 	policy cache.Policy, arb func(int) bus.Arbiter) ([]float64, error) {
 	n := len(names)
 	l2cfg := cache.Config{
@@ -104,8 +113,8 @@ func runGroup(cfg Fig5Config, reg *obs.Registry, device string, names []string, 
 	}
 	tr := bus.NewTracker(arb(n), n)
 	if reg != nil {
-		l2.Observe(reg, device)
-		tr.Observe(reg, device)
+		l2.Observe(reg, scope)
+		tr.Observe(reg, scope)
 	}
 	lat := cpu.DefaultLatencies()
 	pool := ictfPool(cfg.Seed, cfg.PoolFlows)
@@ -139,13 +148,14 @@ func runGroup(cfg Fig5Config, reg *obs.Registry, device string, names []string, 
 	return ipcs, nil
 }
 
-// degradation converts IPC pairs to percent slowdown (clamped at 0: the
-// paper reports degradation).
-func degradation(base, snicIPC float64) float64 {
+// Degradation converts an IPC pair to percent slowdown. It is clamped
+// at 0 (the paper reports degradation), and a non-positive baseline —
+// nothing measured — reads 0.
+func Degradation(base, devIPC float64) float64 {
 	if base <= 0 {
 		return 0
 	}
-	d := (base - snicIPC) / base * 100
+	d := (base - devIPC) / base * 100
 	if d < 0 {
 		return 0
 	}
@@ -199,7 +209,7 @@ func (r *Runner) Figure5a(cfg Fig5Config, l2Sizes []uint64) ([]Fig5Row, error) {
 				Experiment: "fig5a",
 				Key:        key,
 				Run: func(*sim.Rand) (Fig5Row, error) {
-					return cachePoint(cfg, r.obsReg(), "fig5a/"+key, target, 2, 0, size)
+					return cachePoint(cfg, r.obsReg(), "fig5a/"+key, "snic", target, 2, 0, size)
 				},
 			})
 		}
@@ -227,7 +237,7 @@ func (r *Runner) Figure5b(cfg Fig5Config, counts []int) ([]Fig5Row, error) {
 				Experiment: "fig5b",
 				Key:        key,
 				Run: func(*sim.Rand) (Fig5Row, error) {
-					row, err := cachePoint(cfg, r.obsReg(), "fig5b/"+key, target, n, cfg.Colocations, 4<<20)
+					row, err := cachePoint(cfg, r.obsReg(), "fig5b/"+key, "snic", target, n, cfg.Colocations, 4<<20)
 					if err != nil {
 						return Fig5Row{}, err
 					}
@@ -241,16 +251,21 @@ func (r *Runner) Figure5b(cfg Fig5Config, counts []int) ([]Fig5Row, error) {
 }
 
 // cachePoint measures one Figure 5 point: the target NF's degradation
-// distribution over its sampled colocation groups at one L2 size. scope
+// distribution over its sampled colocation groups at one L2 size, with
+// the isolated side run on a fresh device of the named model. scope
 // prefixes the metric device labels (one sub-scope per sampled group).
-func cachePoint(cfg Fig5Config, reg *obs.Registry, scope, target string, groupSize, count int, l2Size uint64) (Fig5Row, error) {
+func cachePoint(cfg Fig5Config, reg *obs.Registry, scope, model, target string, groupSize, count int, l2Size uint64) (Fig5Row, error) {
+	dev, err := device.New(device.Spec{Model: model})
+	if err != nil {
+		return Fig5Row{}, err
+	}
 	var degs []float64
 	for gi, group := range partnersFor(cfg, target, groupSize, count) {
-		base, snicIPC, err := colocation(cfg, reg, fmt.Sprintf("%s/g%d", scope, gi), group, l2Size)
+		base, devIPC, err := colocation(cfg, reg, fmt.Sprintf("%s/g%d", scope, gi), group, l2Size, dev)
 		if err != nil {
 			return Fig5Row{}, err
 		}
-		degs = append(degs, degradation(base[0], snicIPC[0]))
+		degs = append(degs, Degradation(base[0], devIPC[0]))
 	}
 	s := sim.Summarize(degs)
 	return Fig5Row{

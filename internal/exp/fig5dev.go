@@ -1,14 +1,9 @@
 package exp
 
 import (
-	"fmt"
-
-	"snic/internal/bus"
-	"snic/internal/cache"
 	"snic/internal/device"
 	"snic/internal/engine"
 	"snic/internal/nf"
-	"snic/internal/obs"
 	"snic/internal/sim"
 )
 
@@ -51,46 +46,19 @@ func (r *Runner) Figure5Devices(cfg Fig5Config) ([]Fig5DevRow, error) {
 				Experiment: "fig5dev",
 				Key:        key,
 				Run: func(*sim.Rand) (Fig5DevRow, error) {
-					return devicePoint(cfg, r.obsReg(), "fig5dev/"+key, model, target)
+					row, err := cachePoint(cfg, r.obsReg(), "fig5dev/"+key, model, target, 2, 0, 4<<20)
+					if err != nil {
+						return Fig5DevRow{}, err
+					}
+					return Fig5DevRow{
+						Device: model, NF: target,
+						Median: row.Median, P1: row.P1, P99: row.P99,
+					}, nil
 				},
 			})
 		}
 	}
 	return runJobs(r, cfg.Seed, jobs)
-}
-
-// devicePoint measures one (model, target) point. The baseline side is
-// always commodity Shared+FIFO hardware; the device side runs the
-// model's own CachePolicy and NewBusArbiter. Metric scopes use
-// ".../base" and ".../dev" rather than the policy name because a
-// commodity device's policy is itself "shared" and the two sides must
-// stay distinguishable.
-func devicePoint(cfg Fig5Config, reg *obs.Registry, scope, model, target string) (Fig5DevRow, error) {
-	dev, err := device.New(device.Spec{Model: model})
-	if err != nil {
-		return Fig5DevRow{}, err
-	}
-	const l2Size = 4 << 20
-	var degs []float64
-	for gi, group := range partnersFor(cfg, target, 2, 0) {
-		gscope := fmt.Sprintf("%s/g%d", scope, gi)
-		base, err := runGroup(cfg, reg, gscope+"/base", group, l2Size,
-			cache.Shared, func(int) bus.Arbiter { return bus.NewFIFO() })
-		if err != nil {
-			return Fig5DevRow{}, err
-		}
-		devIPC, err := runGroup(cfg, reg, gscope+"/dev", group, l2Size,
-			dev.CachePolicy(), dev.NewBusArbiter)
-		if err != nil {
-			return Fig5DevRow{}, err
-		}
-		degs = append(degs, degradation(base[0], devIPC[0]))
-	}
-	s := sim.Summarize(degs)
-	return Fig5DevRow{
-		Device: model, NF: target,
-		Median: s.Median, P1: s.P1, P99: s.P99,
-	}, nil
 }
 
 // RenderFig5Dev formats the device sweep as a table.

@@ -21,7 +21,8 @@ func TestFig5DevGolden(t *testing.T) {
 // and that the architecture story holds: commodity models measured
 // against their own shared hardware show zero degradation, while S-NIC's
 // partitioning cost is bounded (the paper's <1.7% headline is for 4 NFs;
-// pairwise colocations stay in the same few-percent regime).
+// pairwise colocations stay in the same few-percent regime). The S-NIC
+// rows are Figure 5a's 4 MB point: both run the one co-tenancy driver.
 func TestFigure5DevicesShape(t *testing.T) {
 	rows, err := Figure5Devices(smallFig5())
 	if err != nil {
@@ -34,6 +35,19 @@ func TestFigure5DevicesShape(t *testing.T) {
 	perDevice := map[string][]Fig5DevRow{}
 	for _, r := range rows {
 		perDevice[r.Device] = append(perDevice[r.Device], r)
+	}
+	fig5a, err := Figure5a(smallFig5(), []uint64{4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(perDevice["snic"]) != len(fig5a) {
+		t.Fatalf("%d snic rows, %d fig5a 4MB rows", len(perDevice["snic"]), len(fig5a))
+	}
+	for i, r := range perDevice["snic"] {
+		a := fig5a[i]
+		if r.NF != a.NF || r.Median != a.Median || r.P1 != a.P1 || r.P99 != a.P99 {
+			t.Errorf("fig5dev snic row %+v differs from fig5a 4MB row %+v", r, a)
+		}
 	}
 	for _, model := range models {
 		dev, err := device.New(device.Spec{Model: model})

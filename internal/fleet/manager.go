@@ -223,9 +223,7 @@ func (m *Manager) AddDevice(spec DeviceSpec) error {
 	if err != nil {
 		return err
 	}
-	if sn, ok := nic.(*device.SNIC); ok && m.cfg.Obs != nil {
-		sn.Underlying().Observe(m.cfg.Obs, "fleet/"+spec.Name)
-	}
+	nic.Observe(m.cfg.Obs, "fleet/"+spec.Name)
 	md := &managedDevice{
 		name:     spec.Name,
 		spec:     spec,
@@ -369,7 +367,7 @@ func (m *Manager) placeLocked(tn *tenant, spec NFSpec, checkQuota bool) (*Placem
 			}
 			cands = kept
 		}
-		devName, demand, err := m.strategy.pick(cands, spec)
+		devName, demand, err := m.strategy.pick(cands, nil, spec)
 		if err != nil {
 			if lastLaunch != nil {
 				return nil, fmt.Errorf("%w: %s (last device refusal: %v)",
@@ -553,7 +551,7 @@ func (m *Manager) planAndMove(md *managedDevice, atomic bool) error {
 		}
 		for _, k := range keys {
 			pl := md.placed[k]
-			target, demand, err := m.strategy.pickScratch(m.candidates(), scratch, pl.Spec)
+			target, demand, err := m.strategy.pick(m.candidates(), scratch, pl.Spec)
 			if err != nil {
 				return fmt.Errorf("%w: draining %s, %s has no home", ErrNoCapacity, md.name, pl.key())
 			}

@@ -13,11 +13,10 @@ import (
 // oper-state golden — is independent of map iteration and scheduling.
 type strategy interface {
 	name() string
-	// pick chooses among the live free vectors.
-	pick(cands []*managedDevice, spec NFSpec) (string, device.Resources, error)
-	// pickScratch chooses against an externally maintained free table —
-	// the drain planner's all-or-nothing simulation.
-	pickScratch(cands []*managedDevice, free map[string]device.Resources, spec NFSpec) (string, device.Resources, error)
+	// pick chooses against free, an externally maintained free table
+	// (the drain planner's all-or-nothing simulation), or against the
+	// live free vectors when free is nil.
+	pick(cands []*managedDevice, free map[string]device.Resources, spec NFSpec) (string, device.Resources, error)
 }
 
 // strategyFor resolves a policy name ("" selects bestfit).
@@ -42,7 +41,16 @@ func fitOn(d *managedDevice, free device.Resources, spec NFSpec) (device.Resourc
 	return demand, free.Fits(demand)
 }
 
-// less orders two free vectors lexicographically by (cores, mem, TLB,
+// freeOf returns d's entry in free, or its live free vector when free
+// is nil.
+func freeOf(d *managedDevice, free map[string]device.Resources) device.Resources {
+	if free != nil {
+		return free[d.name]
+	}
+	return d.free()
+}
+
+// lessFree orders two free vectors lexicographically by (cores, mem, TLB,
 // ways, clusters) — the shared comparison bestFit and spread invert.
 func lessFree(a, b device.Resources) bool {
 	if a.Cores != b.Cores {
@@ -66,16 +74,9 @@ type firstFit struct{}
 
 func (firstFit) name() string { return "firstfit" }
 
-func (f firstFit) pick(cands []*managedDevice, spec NFSpec) (string, device.Resources, error) {
-	return f.pickScratch(cands, nil, spec)
-}
-
-func (firstFit) pickScratch(cands []*managedDevice, free map[string]device.Resources, spec NFSpec) (string, device.Resources, error) {
+func (firstFit) pick(cands []*managedDevice, free map[string]device.Resources, spec NFSpec) (string, device.Resources, error) {
 	for _, d := range cands {
-		fr := d.free()
-		if free != nil {
-			fr = free[d.name]
-		}
+		fr := freeOf(d, free)
 		if demand, ok := fitOn(d, fr, spec); ok {
 			return d.name, demand, nil
 		}
@@ -91,18 +92,11 @@ type bestFit struct{}
 
 func (bestFit) name() string { return "bestfit" }
 
-func (b bestFit) pick(cands []*managedDevice, spec NFSpec) (string, device.Resources, error) {
-	return b.pickScratch(cands, nil, spec)
-}
-
-func (bestFit) pickScratch(cands []*managedDevice, free map[string]device.Resources, spec NFSpec) (string, device.Resources, error) {
+func (bestFit) pick(cands []*managedDevice, free map[string]device.Resources, spec NFSpec) (string, device.Resources, error) {
 	bestName := ""
 	var bestDemand, bestRem device.Resources
 	for _, d := range cands {
-		fr := d.free()
-		if free != nil {
-			fr = free[d.name]
-		}
+		fr := freeOf(d, free)
 		demand, ok := fitOn(d, fr, spec)
 		if !ok {
 			continue
@@ -125,19 +119,12 @@ type spread struct{}
 
 func (spread) name() string { return "spread" }
 
-func (s spread) pick(cands []*managedDevice, spec NFSpec) (string, device.Resources, error) {
-	return s.pickScratch(cands, nil, spec)
-}
-
-func (spread) pickScratch(cands []*managedDevice, free map[string]device.Resources, spec NFSpec) (string, device.Resources, error) {
+func (spread) pick(cands []*managedDevice, free map[string]device.Resources, spec NFSpec) (string, device.Resources, error) {
 	bestName := ""
 	bestLive := 0
 	var bestDemand, bestRem device.Resources
 	for _, d := range cands {
-		fr := d.free()
-		if free != nil {
-			fr = free[d.name]
-		}
+		fr := freeOf(d, free)
 		demand, ok := fitOn(d, fr, spec)
 		if !ok {
 			continue
