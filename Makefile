@@ -78,6 +78,15 @@ resume:
 	@rm -f /tmp/snicbench.resume /tmp/snic.resume.ckpt /tmp/snic.resume.out /tmp/snic.resume.want
 	@echo "resume gate: interrupted replay resumed byte-identically"
 
+# Go line counts the way ROADMAP reports them: files tracked by git,
+# outside bench/ and testdata/, split into production and test code.
+# Information only; nothing gates on it.
+.PHONY: loc
+loc:
+	@files=$$(git ls-files '*.go' | grep -v -e '^bench/' -e testdata); \
+	echo "production: $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l) lines"; \
+	echo "test:       $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l) lines"
+
 .PHONY: fmt
 fmt:
 	gofmt -w .

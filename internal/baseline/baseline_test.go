@@ -1,129 +1,93 @@
+// Regression tests of the commodity SmartNIC models S-NIC is compared
+// against. The models live in internal/device; this directory holds
+// only tests, which drive them through the exported device.NIC
+// interface as a host operator or a co-tenant function would.
 package baseline
 
 import (
 	"bytes"
 	"testing"
 
-	"snic/internal/mem"
+	"snic/internal/device"
 )
 
-func TestLiquidIOAllocAndMeta(t *testing.T) {
-	l, err := NewLiquidIO(8<<20, SES, false)
+func build(t *testing.T, model string) device.NIC {
+	t.Helper()
+	dev, err := device.New(device.Spec{Model: model, Cores: 2, MemBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := l.AllocBuf(mem.FirstNF, 1024, TagPacket)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := l.ReadMeta(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Owner != mem.FirstNF || m.Addr != addr || m.Len != 1024 || m.Tag != TagPacket {
-		t.Fatalf("meta = %+v", m)
-	}
-	if l.MetaLen() != 1 {
-		t.Fatalf("metaLen = %d", l.MetaLen())
-	}
+	return dev
 }
 
+// TestXkphysGivesRawAccess: on LiquidIO SE-S the xkphys segment maps
+// all of DRAM, so a co-tenant reads and overwrites a victim's buffer
+// by physical address.
 func TestXkphysGivesRawAccess(t *testing.T) {
-	l, _ := NewLiquidIO(8<<20, SES, false) // SES forces xkphys on
-	addr, _ := l.AllocBuf(mem.FirstNF, 64, TagGeneric)
-	l.Memory().Write(addr, []byte("victim data"))
+	dev := build(t, "liquidio-ses")
+	victim, err := dev.Launch(device.FuncSpec{Name: "victim", MemBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attacker, err := dev.Launch(device.FuncSpec{Name: "attacker", MemBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Write(victim, 0, []byte("victim data")); err != nil {
+		t.Fatal(err)
+	}
+	region, _ := dev.Region(victim)
 	buf := make([]byte, 11)
-	if err := l.XkphysRead(mem.FirstNF+1, addr, buf); err != nil {
+	if err := dev.ProbeRead(attacker, region.Start, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, []byte("victim data")) {
-		t.Fatal("raw read failed")
+		t.Fatalf("raw read = %q", buf)
 	}
-	if err := l.XkphysWrite(mem.FirstNF+1, addr, []byte("OWNED")); err != nil {
+	if err := dev.ProbeWrite(attacker, region.Start, []byte("OWNED")); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestSEUMWithoutXkphysBlocksRawAccess(t *testing.T) {
-	l, _ := NewLiquidIO(8<<20, SEUM, false)
-	if err := l.XkphysRead(mem.FirstNF, 0, make([]byte, 8)); err == nil {
-		t.Fatal("xkphys-off read allowed")
+	if err := dev.Read(victim, 0, buf); err != nil {
+		t.Fatal(err)
 	}
-	if err := l.XkphysWrite(mem.FirstNF, 0, []byte{1}); err == nil {
-		t.Fatal("xkphys-off write allowed")
+	if string(buf) != "OWNEDm data" {
+		t.Fatalf("victim after raw write = %q", buf)
 	}
 }
 
+// TestAgilioBusAndCrash: one island flooding the shared bus at time 0
+// pushes a wait past the watchdog, after which the NIC serves no one.
 func TestAgilioBusAndCrash(t *testing.T) {
-	a, err := NewAgilio(8<<20, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, err := a.BusOp(0, 0)
+	dev := build(t, "agilio")
+	done, err := dev.BusOp(0, 0)
 	if err != nil || done == 0 {
-		t.Fatalf("op: %v", err)
+		t.Fatalf("op: done=%d err=%v", done, err)
 	}
-	// Force the watchdog: attacker floods at time 0.
-	for i := 0; i < 500000 && !a.Crashed(); i++ {
-		a.BusOp(0, 0)
+	crashed := false
+	for i := 0; i < 500000 && !crashed; i++ {
+		_, err := dev.BusOp(0, 0)
+		crashed = err != nil
 	}
-	if !a.Crashed() {
+	if !crashed {
 		t.Fatal("watchdog never tripped")
 	}
-	if _, err := a.BusOp(1, 0); err == nil {
+	if _, err := dev.BusOp(1, 0); err == nil {
 		t.Fatal("crashed NIC served an op")
 	}
 }
 
+// TestAgilioCryptoContention: the single crypto unit serves an idle
+// request at once and queues a concurrent second one.
 func TestAgilioCryptoContention(t *testing.T) {
-	a, _ := NewAgilio(8<<20, 2)
-	_, w1 := a.CryptoOp(0)
-	if w1 != 0 {
-		t.Fatal("idle accelerator queued")
+	dev := build(t, "agilio")
+	id, err := dev.Launch(device.FuncSpec{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, w2 := a.CryptoOp(0)
-	if w2 == 0 {
+	if _, w := dev.AcceleratorOp(id, 0); w != 0 {
+		t.Fatalf("idle accelerator queued %d cycles", w)
+	}
+	if _, w := dev.AcceleratorOp(id, 0); w == 0 {
 		t.Fatal("contended accelerator did not queue")
-	}
-}
-
-func TestBlueFieldWorlds(t *testing.T) {
-	b, err := NewBlueField(8<<20, 2<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := b.CreateTrustlet(mem.FirstNF, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SecureWrite(r.Start, []byte("trusted state")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 13)
-	if err := b.NormalRead(r.Start, buf); err == nil {
-		t.Fatal("normal world read secure memory")
-	}
-	if err := b.SecureRead(r.Start, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, []byte("trusted state")) {
-		t.Fatal("secure read mismatch")
-	}
-	// Normal memory is accessible from the normal world.
-	if err := b.NormalRead(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.TrustletRange(mem.FirstNF); !ok {
-		t.Fatal("trustlet not recorded")
-	}
-}
-
-func TestBlueFieldValidation(t *testing.T) {
-	if _, err := NewBlueField(1<<20, 2<<20); err == nil {
-		t.Fatal("secure region larger than DRAM accepted")
-	}
-	b, _ := NewBlueField(4<<20, 1<<20)
-	if _, err := b.CreateTrustlet(mem.FirstNF, 2<<20); err == nil {
-		t.Fatal("oversized trustlet accepted")
 	}
 }

@@ -1,7 +1,9 @@
 package device
 
 import (
-	"snic/internal/baseline"
+	"errors"
+	"fmt"
+
 	"snic/internal/mem"
 )
 
@@ -9,28 +11,32 @@ func init() {
 	Register("bluefield", func(spec Spec) (NIC, error) { return newBlueField(spec) })
 }
 
-// blueField adapts the TrustZone model. Function state lives in
-// secure-world trustlets: the normal world (and so any co-tenant
-// function issuing raw-physical probes) is blocked by the address-space
-// controller, but the secure-world management OS reads everything —
-// the §3.2 asymmetry. The Linux kernel demand-pages normal-world
-// processes, so the controlled-channel prerequisite holds.
+// errTrustZone is the address-space controller's refusal of a
+// normal-world access to secure memory.
+var errTrustZone = errors.New("device: TrustZone blocks normal-world access to secure memory")
+
+// blueField models the TrustZone-based BlueField: the top quarter of
+// DRAM is the secure world, and function state lives there in
+// trustlets. The normal world (and so any co-tenant function issuing
+// raw-physical probes) is blocked from it by the address-space
+// controller, but the secure-world management OS (commBase's MgmtRead)
+// reads everything, trustlets included — the §3.2 finding that
+// "BlueField does not isolate a network function from the secure-world
+// management OS". The Linux kernel demand-pages normal-world processes,
+// so the controlled-channel prerequisite holds.
 type blueField struct {
 	commBase
-	b *baseline.BlueField
+	secureBase mem.Addr // the carve-out is [secureBase, MemBytes)
+	nextSecure mem.Addr // bump-only secure allocator: OP-TEE never reuses
 }
 
 func newBlueField(spec Spec) (*blueField, error) {
-	b, err := baseline.NewBlueField(spec.MemBytes, spec.SecureBytes)
+	c, err := newCommBase("bluefield", SingleOwnerRAM|DemandPaging, spec)
 	if err != nil {
 		return nil, err
 	}
-	d := &blueField{
-		commBase: newCommBase("bluefield", SingleOwnerRAM|DemandPaging, spec.Cores),
-		b:        b,
-	}
-	d.res = commodityResources(spec.Cores, d.MemBytes())
-	return d, nil
+	base := mem.Addr(c.pm.Size() - c.pm.Size()/4)
+	return &blueField{commBase: c, secureBase: base, nextSecure: base}, nil
 }
 
 func (d *blueField) Launch(spec FuncSpec) (FuncID, error) {
@@ -39,67 +45,26 @@ func (d *blueField) Launch(spec FuncSpec) (FuncID, error) {
 	if err != nil {
 		return 0, err
 	}
-	region, err := d.b.CreateTrustlet(d.nextID, spec.MemBytes)
-	if err != nil {
+	// Create the trustlet: its state goes into the secure carve-out.
+	if uint64(d.nextSecure)+spec.MemBytes > d.pm.Size() {
+		return 0, fmt.Errorf("device: bluefield secure region exhausted")
+	}
+	fs := d.pm.FrameSize()
+	region := mem.Range{Start: d.nextSecure, Frames: (spec.MemBytes + fs - 1) / fs}
+	d.nextSecure += mem.Addr(mem.AlignUp(spec.MemBytes, 64))
+	if err := d.pm.Write(region.Start, spec.Image); err != nil {
 		return 0, err
 	}
-	if err := d.b.SecureWrite(region.Start, spec.Image); err != nil {
-		return 0, err
-	}
-	return d.register(spec, region, mask)
+	return d.register(spec, region, mask), nil
 }
 
-func (d *blueField) Teardown(id FuncID) error {
-	// OP-TEE frees the trustlet's pages but nothing scrubs them; the
-	// secure allocator here is bump-only, like the baseline model.
-	return d.unregister(id)
-}
-
-func (d *blueField) Read(id FuncID, off uint64, buf []byte) error {
-	f, err := d.checkAccess(id, off, len(buf))
-	if err != nil {
-		return err
+// normalWorld is the address-space controller's check on a
+// normal-world access of n bytes at pa.
+func (d *blueField) normalWorld(pa mem.Addr, n int) error {
+	if pa >= d.secureBase || uint64(pa)+uint64(n) > uint64(d.secureBase) {
+		return errTrustZone
 	}
-	return d.b.SecureRead(f.region.Start+mem.Addr(off), buf)
-}
-
-func (d *blueField) Write(id FuncID, off uint64, data []byte) error {
-	f, err := d.checkAccess(id, off, len(data))
-	if err != nil {
-		return err
-	}
-	return d.b.SecureWrite(f.region.Start+mem.Addr(off), data)
-}
-
-func (d *blueField) Inject(frame []byte) (FuncID, error) {
-	id, err := d.steerFrame(frame)
-	if err != nil || id == 0 {
-		return 0, err
-	}
-	f := d.funcs[id]
-	off := f.bytes/2 + f.frameOff
-	if off+uint64(len(frame)) > f.bytes {
-		return 0, ErrNoFrame
-	}
-	addr := f.region.Start + mem.Addr(off)
-	if err := d.b.SecureWrite(addr, frame); err != nil {
-		return 0, err
-	}
-	f.frameOff += mem.AlignUp(uint64(len(frame)), 64)
-	f.frames = append(f.frames, frameRef{addr: addr, n: len(frame)})
-	return id, nil
-}
-
-func (d *blueField) Retrieve(id FuncID) ([]byte, error) {
-	fr, err := d.popFrame(id)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, fr.n)
-	if err := d.b.SecureRead(fr.addr, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return nil
 }
 
 // ProbeRead: a malicious co-tenant function runs in the normal world,
@@ -109,21 +74,18 @@ func (d *blueField) ProbeRead(id FuncID, pa mem.Addr, buf []byte) error {
 	if _, ok := d.funcs[id]; !ok {
 		return ErrNoFunc
 	}
-	return d.b.NormalRead(pa, buf)
+	if err := d.normalWorld(pa, len(buf)); err != nil {
+		return err
+	}
+	return d.pm.Read(pa, buf)
 }
 
 func (d *blueField) ProbeWrite(id FuncID, pa mem.Addr, data []byte) error {
 	if _, ok := d.funcs[id]; !ok {
 		return ErrNoFunc
 	}
-	return d.b.NormalWrite(pa, data)
+	if err := d.normalWorld(pa, len(data)); err != nil {
+		return err
+	}
+	return d.pm.Write(pa, data)
 }
-
-// MgmtRead: the secure-world management OS reads anything, including
-// every trustlet — the hole S-NIC's denylist closes.
-func (d *blueField) MgmtRead(pa mem.Addr, buf []byte) error {
-	return d.b.SecureRead(pa, buf)
-}
-
-func (d *blueField) MemBytes() uint64  { return d.b.Memory().Size() }
-func (d *blueField) FrameSize() uint64 { return d.b.Memory().FrameSize() }

@@ -13,7 +13,6 @@ import (
 // in software (there is no trusted hardware tracking it, which is rather
 // the point).
 type commFunc struct {
-	name     string
 	region   mem.Range
 	bytes    uint64
 	rules    []pktio.MatchSpec
@@ -27,13 +26,16 @@ type frameRef struct {
 	n    int
 }
 
-// commBase carries the bookkeeping all three commodity adapters share:
-// function table, launch order (steering precedence), core pool, and the
-// shared bus/accelerator substrates. The adapters embed it and override
-// what their architecture does differently.
+// commBase is the commodity NIC all three adapters share: plain DRAM
+// in 64 KB frames with no ownership checks on raw addresses, a software
+// function table and launch order (steering precedence), a core pool,
+// an unarbitrated FIFO bus with a hard-crash watchdog, and one shared
+// accelerator. The adapters embed it and override what their
+// architecture does differently.
 type commBase struct {
 	model  string
 	caps   Capability
+	pm     *mem.Physical
 	cores  *corePool
 	funcs  map[FuncID]*commFunc
 	order  []FuncID
@@ -43,15 +45,30 @@ type commBase struct {
 	res    Resources // schedulable capacity, fixed at construction
 }
 
-func newCommBase(model string, caps Capability, cores int) commBase {
-	return commBase{
+func newCommBase(model string, caps Capability, spec Spec) (commBase, error) {
+	pm, err := mem.NewPhysical(spec.MemBytes, 64<<10)
+	if err != nil {
+		return commBase{}, err
+	}
+	c := commBase{
 		model:  model,
 		caps:   caps,
-		cores:  newCorePool(cores),
+		pm:     pm,
+		cores:  newCorePool(spec.Cores),
 		funcs:  make(map[FuncID]*commFunc),
 		nextID: mem.FirstNF,
-		bus:    newBusSim(bus.NewFIFO(), cores),
+		// "Cluster" reservations are operator admission control over
+		// the one time-shared accelerator, not hardware.
+		res: Resources{
+			Cores:         spec.Cores,
+			MemBytes:      pm.Size(),
+			TLBEntries:    spec.Cores * TLBEntriesPerCore,
+			CacheWays:     DefaultCacheWays,
+			AccelClusters: spec.Cores,
+		},
 	}
+	c.bus = newBusSim(c.NewBusArbiter, spec.Cores) // every core is a bus client
+	return c, nil
 }
 
 func (c *commBase) Model() string        { return c.model }
@@ -60,6 +77,8 @@ func (c *commBase) Resources() Resources { return c.res }
 func (c *commBase) Cores() int           { return len(c.cores.owner) }
 func (c *commBase) FreeCores() int       { return c.cores.free() }
 func (c *commBase) Live() int            { return len(c.funcs) }
+func (c *commBase) MemBytes() uint64     { return c.pm.Size() }
+func (c *commBase) FrameSize() uint64    { return c.pm.FrameSize() }
 
 // Attest: commodity models have no launch measurement to sign.
 func (c *commBase) Attest(FuncID, []byte) (attest.Quote, error) {
@@ -93,25 +112,93 @@ func (c *commBase) AcceleratorOp(_ FuncID, now uint64) (done, waited uint64) {
 	return c.accel.op(now)
 }
 
-// register files a launched function under the next id.
-func (c *commBase) register(spec FuncSpec, region mem.Range, mask uint64) (FuncID, error) {
-	id := c.nextID
-	if _, err := c.cores.claim(id, mask); err != nil {
+// Teardown frees the bookkeeping only: nothing scrubs the function's
+// bytes, which stay in DRAM for the next scan (one of the §3.2 gaps).
+func (c *commBase) Teardown(id FuncID) error { return c.unregister(id) }
+
+func (c *commBase) Read(id FuncID, off uint64, buf []byte) error {
+	f, err := c.checkAccess(id, off, len(buf))
+	if err != nil {
+		return err
+	}
+	return c.pm.Read(f.region.Start+mem.Addr(off), buf)
+}
+
+func (c *commBase) Write(id FuncID, off uint64, data []byte) error {
+	f, err := c.checkAccess(id, off, len(data))
+	if err != nil {
+		return err
+	}
+	return c.pm.Write(f.region.Start+mem.Addr(off), data)
+}
+
+// Inject stages a delivered frame in the upper half of the receiver's
+// region (a simple per-function RX area; the memory is still plain
+// shared DRAM, which is what the corruption attack exploits).
+func (c *commBase) Inject(frame []byte) (FuncID, error) {
+	id, err := c.steerFrame(frame)
+	if err != nil || id == 0 {
 		return 0, err
 	}
-	c.funcs[id] = &commFunc{
-		name:   spec.Name,
-		region: region,
-		bytes:  spec.MemBytes,
-		rules:  spec.Rules,
+	f := c.funcs[id]
+	off := f.bytes/2 + f.frameOff
+	if off+uint64(len(frame)) > f.bytes {
+		return 0, ErrNoFrame
 	}
-	c.order = append(c.order, id)
-	c.nextID++
+	addr := f.region.Start + mem.Addr(off)
+	if err := c.pm.Write(addr, frame); err != nil {
+		return 0, err
+	}
+	f.frameOff += mem.AlignUp(uint64(len(frame)), 64)
+	f.frames = append(f.frames, frameRef{addr: addr, n: len(frame)})
 	return id, nil
 }
 
-// unregister removes a function (no scrubbing: commodity teardown just
-// frees the bookkeeping, which is itself one of the §3.2 gaps).
+func (c *commBase) Retrieve(id FuncID) ([]byte, error) {
+	fr, err := c.popFrame(id)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, fr.n)
+	if err := c.pm.Read(fr.addr, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ProbeRead: cores address DRAM physically, with no per-function check
+// (xkphys on LiquidIO, raw island addressing on Agilio; §3.2).
+func (c *commBase) ProbeRead(id FuncID, pa mem.Addr, buf []byte) error {
+	if _, ok := c.funcs[id]; !ok {
+		return ErrNoFunc
+	}
+	return c.pm.Read(pa, buf)
+}
+
+func (c *commBase) ProbeWrite(id FuncID, pa mem.Addr, data []byte) error {
+	if _, ok := c.funcs[id]; !ok {
+		return ErrNoFunc
+	}
+	return c.pm.Write(pa, data)
+}
+
+// MgmtRead: privileged software sees plain DRAM.
+func (c *commBase) MgmtRead(pa mem.Addr, buf []byte) error {
+	return c.pm.Read(pa, buf)
+}
+
+// register files a launched function under the next id, on the cores
+// of mask (validated by corePool.pick).
+func (c *commBase) register(spec FuncSpec, region mem.Range, mask uint64) FuncID {
+	id := c.nextID
+	c.cores.bind(id, mask)
+	c.funcs[id] = &commFunc{region: region, bytes: spec.MemBytes, rules: spec.Rules}
+	c.order = append(c.order, id)
+	c.nextID++
+	return id
+}
+
+// unregister removes a function's bookkeeping and frees its cores.
 func (c *commBase) unregister(id FuncID) error {
 	if _, ok := c.funcs[id]; !ok {
 		return ErrNoFunc

@@ -1,8 +1,8 @@
 // Package device is the seam between the evaluation harness and the NIC
-// models. It defines one interface — device.NIC — that the S-NIC device
-// (internal/snic) and the three commodity baselines (internal/baseline)
-// all implement through thin adapters, plus a registry that builds any
-// model from a declarative Spec.
+// models. It defines one interface — device.NIC — that a thin adapter
+// over the S-NIC device (internal/snic) and the three commodity models
+// of §3.2 (LiquidIO, Agilio, BlueField, which live here) implement,
+// plus a registry that builds any model from a declarative Spec.
 //
 // The interface deliberately exposes both the legitimate paths (launch,
 // owner-scoped read/write, packet injection) and the illegitimate ones
@@ -225,12 +225,10 @@ type NIC interface {
 // registered builder; the remaining fields parameterize it, with zero
 // values picking per-model defaults.
 type Spec struct {
-	Model       string
-	Cores       int
-	MemBytes    uint64
-	FrameSize   uint64 // ownership granularity (models that have one)
-	SecureBytes uint64 // bluefield: secure-world carve-out (default MemBytes/4)
-	Islands     int    // agilio: bus clients (default Cores)
+	Model     string
+	Cores     int
+	MemBytes  uint64
+	FrameSize uint64 // ownership granularity (models that have one)
 
 	// S-NIC extras.
 	Rates  *snic.Rates // Figure 6 latency calibration override
@@ -244,12 +242,6 @@ func (s *Spec) defaults() {
 	}
 	if s.MemBytes == 0 {
 		s.MemBytes = 64 << 20
-	}
-	if s.SecureBytes == 0 {
-		s.SecureBytes = s.MemBytes / 4
-	}
-	if s.Islands == 0 {
-		s.Islands = s.Cores
 	}
 	if s.Serial == "" {
 		s.Serial = "SNIC-SIM-0"

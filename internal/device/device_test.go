@@ -143,7 +143,8 @@ func TestConformanceOwnerAccess(t *testing.T) {
 }
 
 // TestConformanceIsolation: whether a co-tenant probe or a management
-// read reaches a victim's memory must match the capability flags.
+// read reaches a victim's memory, or a probe write changes it, must
+// match the capability flags.
 func TestConformanceIsolation(t *testing.T) {
 	for _, model := range Models() {
 		t.Run(model, func(t *testing.T) {
@@ -178,6 +179,16 @@ func TestConformanceIsolation(t *testing.T) {
 				bytes.Equal(mgmt, secret)
 			if want := !dev.Caps().Has(MgmtIsolated); snooped != want {
 				t.Errorf("management read reached victim=%v, capability says %v", snooped, want)
+			}
+
+			// Isolated models refuse the write; the read-back decides.
+			_ = dev.ProbeWrite(attacker, region.Start+off, []byte("OWNED"))
+			if err := dev.Read(victim, off, probe); err != nil {
+				t.Fatal(err)
+			}
+			overwrote := string(probe) == "OWNEDm flow table"
+			if want := !dev.Caps().Has(SingleOwnerRAM); overwrote != want {
+				t.Errorf("co-tenant probe overwrote victim=%v, capability says %v", overwrote, want)
 			}
 		})
 	}

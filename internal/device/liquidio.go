@@ -4,42 +4,77 @@ import (
 	"fmt"
 	"math"
 
-	"snic/internal/baseline"
 	"snic/internal/mem"
 )
 
 func init() {
 	// SE-S: bootloader-installed NFs, all privileged, xkphys everywhere.
 	Register("liquidio-ses", func(spec Spec) (NIC, error) {
-		return newLiquidIO(spec, "liquidio-ses", baseline.SES, 0)
+		return newLiquidIO(spec, "liquidio-ses", 0)
 	})
 	// SE-UM: NFs are Linux processes. xkphys stays enabled (the §3.3
 	// attack configuration), and the kernel demand-pages the processes —
 	// which is the controlled-channel prerequisite.
 	Register("liquidio-seum", func(spec Spec) (NIC, error) {
-		return newLiquidIO(spec, "liquidio-seum", baseline.SEUM, DemandPaging)
+		return newLiquidIO(spec, "liquidio-seum", DemandPaging)
 	})
 }
 
-// liquidIO adapts the Cavium model. Function memory comes from the
-// shared buffer allocator, so every reservation is visible in the
-// DRAM-resident metadata table — the state the §3.3 scans walk.
+// Shared buffer allocator layout: a table of metaCap records at DRAM
+// address 0, each metaEntryBytes long, followed by a bump-only heap.
+const (
+	metaCap        = 1024
+	metaEntryBytes = 24
+)
+
+// Buffer tags the allocator stamps into each metadata record ("what
+// kind of buffer"), which is what the §3.3 scans key on.
+const (
+	tagPacket  uint32 = 0x504B5431 // "PKT1"
+	tagGeneric uint32 = 0x42554631 // "BUF1"
+)
+
+// liquidIO models the Cavium LiquidIO (SE-S / SE-UM): every MIPS core
+// can address all physical memory through xkphys, and the shared
+// packet-buffer allocator keeps its metadata in ordinary DRAM — so any
+// function can find and touch any other function's buffers. Function
+// memory comes from that allocator, so every reservation is visible in
+// the metadata table the §3.3 scans walk. The allocator has no free():
+// after teardown the metadata lingers and the heap only grows.
 type liquidIO struct {
 	commBase
-	l *baseline.LiquidIO
+	metaLen  int      // records written to the metadata table
+	heapNext mem.Addr // next free byte of the buffer heap
 }
 
-func newLiquidIO(spec Spec, model string, mode baseline.Mode, extraCaps Capability) (*liquidIO, error) {
-	l, err := baseline.NewLiquidIO(spec.MemBytes, mode, true)
+func newLiquidIO(spec Spec, model string, extraCaps Capability) (*liquidIO, error) {
+	c, err := newCommBase(model, extraCaps, spec)
 	if err != nil {
 		return nil, err
 	}
-	d := &liquidIO{
-		commBase: newCommBase(model, extraCaps, spec.Cores),
-		l:        l,
+	return &liquidIO{commBase: c, heapNext: metaCap * metaEntryBytes}, nil
+}
+
+// allocBuf carves an n-byte buffer for owner from the shared heap and
+// records (owner, addr, len|tag<<32) in the DRAM metadata table, exactly
+// like the buffer allocator the attacks scan.
+func (d *liquidIO) allocBuf(owner mem.Owner, n uint32, tag uint32) (mem.Addr, error) {
+	if d.metaLen >= metaCap {
+		return 0, fmt.Errorf("device: %s allocator metadata full", d.model)
 	}
-	d.res = commodityResources(spec.Cores, d.MemBytes())
-	return d, nil
+	addr := d.heapNext
+	if uint64(addr)+uint64(n) > d.pm.Size() {
+		return 0, fmt.Errorf("device: %s out of buffer memory", d.model)
+	}
+	d.heapNext += mem.Addr(mem.AlignUp(uint64(n), 64))
+	base := mem.Addr(d.metaLen * metaEntryBytes)
+	for i, v := range []uint64{uint64(owner), uint64(addr), uint64(n) | uint64(tag)<<32} {
+		if err := d.pm.WriteU64(base+mem.Addr(8*i), v); err != nil {
+			return 0, err
+		}
+	}
+	d.metaLen++
+	return addr, nil
 }
 
 func (d *liquidIO) Launch(spec FuncSpec) (FuncID, error) {
@@ -51,39 +86,16 @@ func (d *liquidIO) Launch(spec FuncSpec) (FuncID, error) {
 	if err != nil {
 		return 0, err
 	}
-	addr, err := d.l.AllocBuf(d.nextID, uint32(spec.MemBytes), baseline.TagGeneric)
+	addr, err := d.allocBuf(d.nextID, uint32(spec.MemBytes), tagGeneric)
 	if err != nil {
 		return 0, err
 	}
-	if err := d.l.Memory().Write(addr, spec.Image); err != nil {
+	if err := d.pm.Write(addr, spec.Image); err != nil {
 		return 0, err
 	}
-	fs := d.l.Memory().FrameSize()
+	fs := d.pm.FrameSize()
 	region := mem.Range{Start: addr, Frames: (spec.MemBytes + fs - 1) / fs}
-	return d.register(spec, region, mask)
-}
-
-func (d *liquidIO) Teardown(id FuncID) error {
-	// The shared allocator has no free(): metadata lingers and the heap
-	// only grows, so a torn-down function's bytes stay in DRAM for the
-	// next scan — faithfully non-scrubbing.
-	return d.unregister(id)
-}
-
-func (d *liquidIO) Read(id FuncID, off uint64, buf []byte) error {
-	f, err := d.checkAccess(id, off, len(buf))
-	if err != nil {
-		return err
-	}
-	return d.l.Memory().Read(f.region.Start+mem.Addr(off), buf)
-}
-
-func (d *liquidIO) Write(id FuncID, off uint64, data []byte) error {
-	f, err := d.checkAccess(id, off, len(data))
-	if err != nil {
-		return err
-	}
-	return d.l.Memory().Write(f.region.Start+mem.Addr(off), data)
+	return d.register(spec, region, mask), nil
 }
 
 func (d *liquidIO) Inject(frame []byte) (FuncID, error) {
@@ -93,48 +105,13 @@ func (d *liquidIO) Inject(frame []byte) (FuncID, error) {
 	}
 	// Packet buffers come from the shared pool, tagged in the metadata
 	// table like the real allocator's.
-	addr, err := d.l.AllocBuf(id, uint32(len(frame)), baseline.TagPacket)
+	addr, err := d.allocBuf(id, uint32(len(frame)), tagPacket)
 	if err != nil {
 		return 0, err
 	}
-	if err := d.l.Memory().Write(addr, frame); err != nil {
+	if err := d.pm.Write(addr, frame); err != nil {
 		return 0, err
 	}
 	d.funcs[id].frames = append(d.funcs[id].frames, frameRef{addr: addr, n: len(frame)})
 	return id, nil
 }
-
-func (d *liquidIO) Retrieve(id FuncID) ([]byte, error) {
-	fr, err := d.popFrame(id)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, fr.n)
-	if err := d.l.Memory().Read(fr.addr, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// ProbeRead: xkphys exposes all of physical memory to every core (§3.2).
-func (d *liquidIO) ProbeRead(id FuncID, pa mem.Addr, buf []byte) error {
-	if _, ok := d.funcs[id]; !ok {
-		return ErrNoFunc
-	}
-	return d.l.XkphysRead(id, pa, buf)
-}
-
-func (d *liquidIO) ProbeWrite(id FuncID, pa mem.Addr, data []byte) error {
-	if _, ok := d.funcs[id]; !ok {
-		return ErrNoFunc
-	}
-	return d.l.XkphysWrite(id, pa, data)
-}
-
-// MgmtRead: privileged software sees plain DRAM.
-func (d *liquidIO) MgmtRead(pa mem.Addr, buf []byte) error {
-	return d.l.Memory().Read(pa, buf)
-}
-
-func (d *liquidIO) MemBytes() uint64  { return d.l.Memory().Size() }
-func (d *liquidIO) FrameSize() uint64 { return d.l.Memory().FrameSize() }

@@ -5,7 +5,7 @@ import "fmt"
 // Resources is the schedulable capacity vector of a device — the axes a
 // fleet-level placer bin-packs tenant functions against. Every axis is
 // something the models already meter individually: programmable cores
-// (corePool), DRAM bytes (mem.Physical), locked-TLB entries installed at
+// (core tables), DRAM bytes (mem.Physical), locked-TLB entries installed at
 // launch (§4.2), shared-L2 ways (§4.5 static partitioning), and
 // accelerator clusters (§4.4 reservations).
 //
@@ -83,19 +83,4 @@ func (r Resources) IsZero() bool { return r == Resources{} }
 func (r Resources) String() string {
 	return fmt.Sprintf("cores=%d mem=%dKB tlb=%d ways=%d clusters=%d",
 		r.Cores, r.MemBytes>>10, r.TLBEntries, r.CacheWays, r.AccelClusters)
-}
-
-// commodityResources is the capacity vector every commBase-backed
-// adapter reports: per-core TLB budget, the modeled 16-way L2, and one
-// time-shared accelerator context per core (there is a single FCFS
-// unit, so "cluster" reservations on commodity models are operator
-// admission control, not hardware).
-func commodityResources(cores int, memBytes uint64) Resources {
-	return Resources{
-		Cores:         cores,
-		MemBytes:      memBytes,
-		TLBEntries:    cores * TLBEntriesPerCore,
-		CacheWays:     DefaultCacheWays,
-		AccelClusters: cores,
-	}
 }

@@ -9,8 +9,8 @@ import (
 	"snic/internal/pktio"
 )
 
-// Shared model constants, matching the Agilio baseline's calibration so
-// the bus-DoS and contention numbers are comparable across models.
+// Shared model constants (the Agilio calibration), so the bus-DoS and
+// contention numbers are comparable across models.
 const (
 	busOpCost      = 8
 	watchdogCycles = 1 << 20
@@ -27,11 +27,11 @@ type busSim struct {
 	crashed bool
 }
 
-func newBusSim(arb bus.Arbiter, clients int) *busSim {
-	if clients < 2 {
-		clients = 2
-	}
-	return &busSim{tr: bus.NewTracker(arb, clients)}
+// newBusSim builds the model's arbiter for clients bus clients (at
+// least two: an attacker and a victim).
+func newBusSim(newArbiter func(clients int) bus.Arbiter, clients int) *busSim {
+	clients = max(2, clients)
+	return &busSim{tr: bus.NewTracker(newArbiter(clients), clients)}
 }
 
 func (b *busSim) op(client int, now uint64) (uint64, error) {
@@ -61,9 +61,8 @@ func (s *sharedAccel) op(now uint64) (done, waited uint64) {
 	return start + accelOpCost, start - now
 }
 
-// corePool hands out cores to launched functions. The commodity adapters
-// use it directly; the snic adapter mirrors the device's own core table
-// through the same auto-assignment logic.
+// corePool hands out cores to launched functions on the commodity
+// adapters (the S-NIC device keeps its own core table).
 type corePool struct {
 	owner []FuncID
 }
@@ -98,19 +97,13 @@ func (p *corePool) pick(mask uint64) (uint64, error) {
 	return mask, nil
 }
 
-// claim binds the cores in mask (or, for mask 0, the lowest free core)
-// to id, returning the mask actually bound.
-func (p *corePool) claim(id FuncID, mask uint64) (uint64, error) {
-	mask, err := p.pick(mask)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < len(p.owner); i++ {
+// bind assigns the cores in mask, as validated by pick, to id.
+func (p *corePool) bind(id FuncID, mask uint64) {
+	for i := range p.owner {
 		if mask&(1<<uint(i)) != 0 {
 			p.owner[i] = id
 		}
 	}
-	return mask, nil
 }
 
 func (p *corePool) release(id FuncID) {

@@ -1,8 +1,6 @@
 package device
 
 import (
-	"fmt"
-
 	"snic/internal/attest"
 	"snic/internal/bus"
 	"snic/internal/cache"
@@ -24,7 +22,6 @@ func init() {
 type SNIC struct {
 	dev    *snic.Device
 	vendor *attest.Vendor
-	cores  *corePool
 	bus    *busSim
 	mgmtVA tlb.VAddr
 	// Private per-function accelerator clusters: each function queues
@@ -54,13 +51,9 @@ func newSNIC(spec Spec) (*SNIC, error) {
 	if spec.Rates != nil {
 		dev.SetRates(*spec.Rates)
 	}
-	return &SNIC{
-		dev:       dev,
-		vendor:    vendor,
-		cores:     newCorePool(dev.Cores()),
-		bus:       newBusSim(bus.NewTemporal(max(2, dev.Cores()), 60, 10), dev.Cores()),
-		accelFree: make(map[FuncID]uint64),
-	}, nil
+	s := &SNIC{dev: dev, vendor: vendor, accelFree: make(map[FuncID]uint64)}
+	s.bus = newBusSim(s.NewBusArbiter, dev.Cores())
+	return s, nil
 }
 
 // Underlying returns the wrapped S-NIC device for callers that need the
@@ -108,13 +101,18 @@ func (s *SNIC) LaunchTimed(spec FuncSpec) (FuncID, snic.LaunchReport, error) {
 	return s.launch(spec, 32<<10)
 }
 
-// launch binds spec to its cores and runs nf_launch with portBuf bytes
-// of port buffer per direction (0 = snic's per-function default).
+// launch runs nf_launch on spec's cores (mask 0: the device's lowest
+// free core) with portBuf bytes of port buffer per direction (0 =
+// snic's per-function default).
 func (s *SNIC) launch(spec FuncSpec, portBuf uint64) (FuncID, snic.LaunchReport, error) {
 	spec.defaults()
-	mask, err := s.cores.pick(spec.CoreMask)
-	if err != nil {
-		return 0, snic.LaunchReport{}, err
+	mask := spec.CoreMask
+	if mask == 0 {
+		free := s.dev.FreeCoreMask()
+		if free == 0 {
+			return 0, snic.LaunchReport{}, ErrNoCores
+		}
+		mask = free & -free
 	}
 	rep, err := s.dev.Launch(snic.LaunchSpec{
 		CoreMask:   mask,
@@ -127,9 +125,6 @@ func (s *SNIC) launch(spec FuncSpec, portBuf uint64) (FuncID, snic.LaunchReport,
 	})
 	if err != nil {
 		return 0, snic.LaunchReport{}, err
-	}
-	if _, err := s.cores.claim(rep.ID, mask); err != nil {
-		return 0, snic.LaunchReport{}, fmt.Errorf("device: core table out of sync: %w", err)
 	}
 	return rep.ID, rep, nil
 }
@@ -144,7 +139,6 @@ func (s *SNIC) TeardownTimed(id FuncID) (snic.TeardownReport, error) {
 	if err != nil {
 		return snic.TeardownReport{}, err
 	}
-	s.cores.release(id)
 	delete(s.accelFree, id)
 	return rep, nil
 }

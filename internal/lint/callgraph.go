@@ -78,15 +78,6 @@ type Graph struct {
 	byInit map[string]*Node // synthetic init nodes by package path
 }
 
-// NodeOf returns the node for fn (normalized to its generic origin),
-// or nil if fn never appears in the program.
-func (g *Graph) NodeOf(fn *types.Func) *Node {
-	if fn == nil {
-		return nil
-	}
-	return g.byFn[fn.Origin()]
-}
-
 // buildGraph constructs the call graph for pkgs. Test files are
 // excluded — they are not type-checked and not part of the shipped
 // program.

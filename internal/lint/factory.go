@@ -1,31 +1,25 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // Factory enforces the device-construction discipline established by the
 // unified device abstraction: every NIC model is built through the
 // internal/device registry (device.New over a declarative Spec), so
 // capability flags, conformance coverage, and the attack matrix see
-// every device the same way. Direct snic.New / baseline.New* calls
-// outside internal/device bypass that and are forbidden (tests may
-// still construct models directly to probe internals).
+// every device the same way. The commodity models live inside
+// internal/device; the one constructor outside it, snic.New, is
+// forbidden everywhere but there (tests may still construct the device
+// directly to probe internals).
 type Factory struct{}
 
 func (Factory) Name() string { return "factory-discipline" }
 
 func (Factory) Doc() string {
-	return "forbid snic.New/baseline.New* outside internal/device and tests"
+	return "forbid snic.New outside internal/device and tests"
 }
 
-// factoryPkgs maps a constructor-owning package to a predicate over
-// selector names that are reserved for the factory.
-var factoryPkgs = map[string]func(string) bool{
-	"snic/internal/snic":     func(name string) bool { return name == "New" },
-	"snic/internal/baseline": func(name string) bool { return strings.HasPrefix(name, "New") },
-}
+// factoryPkg owns the constructor (New) reserved for the factory.
+const factoryPkg = "snic/internal/snic"
 
 func (c Factory) Run(p *Pass) []Diagnostic {
 	if p.Pkg.Path == "snic/internal/device" {
@@ -36,13 +30,8 @@ func (c Factory) Run(p *Pass) []Diagnostic {
 		if f.Test {
 			continue
 		}
-		local := make(map[string]string, len(factoryPkgs)) // import path -> local name
-		for path := range factoryPkgs {
-			if name := importLocalName(f.AST, path); name != "" {
-				local[path] = name
-			}
-		}
-		if len(local) == 0 {
+		local := importLocalName(f.AST, factoryPkg)
+		if local == "" {
 			continue
 		}
 		ast.Inspect(f.AST, func(n ast.Node) bool {
@@ -54,12 +43,10 @@ func (c Factory) Run(p *Pass) []Diagnostic {
 			if !ok {
 				return true
 			}
-			for path, reserved := range factoryPkgs {
-				if reserved(sel.Sel.Name) && p.pkgRef(id, path, local[path]) {
-					diags = append(diags, p.diag(c.Name(), sel,
-						"direct constructor %s.%s outside internal/device: build devices via device.New(device.Spec{...})",
-						id.Name, sel.Sel.Name))
-				}
+			if sel.Sel.Name == "New" && p.pkgRef(id, factoryPkg, local) {
+				diags = append(diags, p.diag(c.Name(), sel,
+					"direct constructor %s.%s outside internal/device: build devices via device.New(device.Spec{...})",
+					id.Name, sel.Sel.Name))
 			}
 			return true
 		})

@@ -13,13 +13,12 @@ import (
 // owner-checked entry points (snic NFRead/NFWrite/MgmtRead/MgmtWrite or
 // the device.NIC API), never by grabbing the raw arena.
 var isolationTrusted = map[string]bool{
-	"snic/internal/mem":      true,
-	"snic/internal/snic":     true,
-	"snic/internal/device":   true,
-	"snic/internal/baseline": true,
-	"snic/internal/pktio":    true,
-	"snic/internal/accel":    true,
-	"snic/internal/dma":      true,
+	"snic/internal/mem":    true,
+	"snic/internal/snic":   true,
+	"snic/internal/device": true,
+	"snic/internal/pktio":  true,
+	"snic/internal/accel":  true,
+	"snic/internal/dma":    true,
 }
 
 // physicalPorts are the mem.Physical methods that move or claim bytes:
@@ -36,13 +35,6 @@ var physicalPorts = map[string]bool{
 	"AllocBytes": true,
 	"Release":    true,
 	"ReleaseAll": true,
-}
-
-// memoryAccessors are the packages whose Memory() methods hand out the
-// raw *mem.Physical backing store.
-var memoryAccessors = map[string]bool{
-	"snic/internal/snic":     true,
-	"snic/internal/baseline": true,
 }
 
 // IsolationBoundary is the static analogue of the paper's DMA/TLB
@@ -103,7 +95,7 @@ func (IsolationBoundary) sinkMessage(e *CallEdge) string {
 		namedRecvName(sig.Recv().Type()) == "Physical" && physicalPorts[fn.Name()]:
 		return "raw memory port " + e.To.Name +
 			" outside the trusted device layer: NF frames are only legal through owner-checked NFRead/NFWrite/MgmtRead/MgmtWrite"
-	case memoryAccessors[fn.Pkg().Path()] && fn.Name() == "Memory":
+	case fn.Pkg().Path() == "snic/internal/snic" && fn.Name() == "Memory":
 		return "obtains the raw backing store via " + e.To.Name +
 			" outside the trusted device layer: use the owner-checked snic entry points or the device.NIC API"
 	}

@@ -34,17 +34,6 @@ type Package struct {
 	TypeErrors []error        // type-check problems (tolerated: build gates them)
 }
 
-// TestOnly reports whether the package consists solely of _test.go files
-// (e.g. a repository-root benchmark package).
-func (p *Package) TestOnly() bool {
-	for _, f := range p.Files {
-		if !f.Test {
-			return false
-		}
-	}
-	return true
-}
-
 // Loader discovers, parses, and type-checks packages. Imports beginning
 // with Module resolve against Roots in order (the lint tests put a
 // fixture tree first and the real module second); everything else is

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -76,5 +77,47 @@ func TestModuleIsClean(t *testing.T) {
 	if m[1] != strconv.Itoa(production) || m[2] != strconv.Itoa(waiverBudget) {
 		t.Errorf("DESIGN.md says %q production waivers with budget < %q; the module has %d, budget < %d",
 			m[1], m[2], production, waiverBudget)
+	}
+}
+
+// TestDesignTrustedPackages pins DESIGN.md's isolation-boundary row to
+// isolationTrusted: the prose names exactly the packages the check
+// exempts, so a package added to (or dropped from) the trusted device
+// layer cannot leave the documented boundary behind.
+func TestDesignTrustedPackages(t *testing.T) {
+	cwd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := FindModuleRoot(cwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row string
+	for _, line := range strings.Split(string(design), "\n") {
+		if strings.HasPrefix(line, "| `isolation-boundary` |") {
+			row = line
+		}
+	}
+	m := regexp.MustCompile(`trusted device layer \(([^)]*)\)`).FindStringSubmatch(row)
+	if m == nil {
+		t.Fatal("DESIGN.md's isolation-boundary row no longer lists the trusted device layer in parentheses")
+	}
+	var documented []string
+	for _, pm := range regexp.MustCompile("`(internal/[a-z]+)`").FindAllStringSubmatch(m[1], -1) {
+		documented = append(documented, "snic/"+pm[1])
+	}
+	var trusted []string
+	for p := range isolationTrusted {
+		trusted = append(trusted, p)
+	}
+	slices.Sort(documented)
+	slices.Sort(trusted)
+	if !slices.Equal(documented, trusted) {
+		t.Errorf("DESIGN.md lists trusted packages %v; isolationTrusted has %v", documented, trusted)
 	}
 }

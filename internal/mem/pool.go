@@ -23,9 +23,6 @@ func (p *Physical) SetPoolCapacity(frames uint64) {
 	}
 }
 
-// PoolCapacity returns the configured warm-arena bound in frames.
-func (p *Physical) PoolCapacity() uint64 { return p.poolCap }
-
 // PoolFrames returns the number of frames currently parked in the warm
 // arena.
 func (p *Physical) PoolFrames() uint64 { return p.poolFrames }

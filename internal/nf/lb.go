@@ -45,11 +45,6 @@ func (l *LB) Name() string { return "LB" }
 // Arena implements NF.
 func (l *LB) Arena() *mem.Arena { return l.arena }
 
-// Backend returns the backend name a tuple maps to.
-func (l *LB) Backend(t pkt.FiveTuple) string {
-	return l.table.Lookup(tupleHash(t))
-}
-
 func tupleHash(t pkt.FiveTuple) uint64 {
 	k := t.Key()
 	h := uint64(14695981039346656037)
@@ -72,9 +67,6 @@ func (l *LB) Process(p *pkt.Packet) Verdict {
 	l.Balanced++
 	return Modified
 }
-
-// Connections returns the connection-table size.
-func (l *LB) Connections() int { return l.conns.Len() }
 
 // WorkingSet implements NF.
 func (l *LB) WorkingSet() uint64 {

@@ -77,9 +77,6 @@ func NewTxScheduler(algo SchedAlgo, nqueues int, weights []int) (*TxScheduler, e
 	return s, nil
 }
 
-// Algo returns the discipline.
-func (s *TxScheduler) Algo() SchedAlgo { return s.algo }
-
 // Enqueue adds a descriptor to queue q.
 func (s *TxScheduler) Enqueue(q int, d Descriptor) error {
 	if q < 0 || q >= len(s.queues) {

@@ -339,6 +339,18 @@ func (d *Device) FreeCores() int {
 	return n
 }
 
+// FreeCoreMask returns the unallocated programmable cores among the
+// first 64 (the ones a LaunchSpec.CoreMask can name) as a bitmask.
+func (d *Device) FreeCoreMask() uint64 {
+	var m uint64
+	for i, o := range d.coreOwner[:min(len(d.coreOwner), 64)] {
+		if o == mem.Free {
+			m |= 1 << uint(i)
+		}
+	}
+	return m
+}
+
 // SetRates overrides the latency calibration.
 func (d *Device) SetRates(r Rates) { d.rates = r }
 
