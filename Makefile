@@ -9,7 +9,7 @@ GO ?= go
 # lock-discipline, factory, seed, and stdlib-only rules the goldens
 # depend on (see DESIGN.md "Enforced invariants").
 .PHONY: verify
-verify: build vet lint test race fleet resume bench-test
+verify: build vet lint test race fleet bench-test
 
 .PHONY: build
 build:
@@ -55,28 +55,6 @@ fleet:
 	echo "internal/fleet coverage: $$total% (floor $(FLEET_COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v floor="$(FLEET_COVER_FLOOR)" 'BEGIN { exit (t+0 < floor+0) ? 1 : 0 }' || \
 		{ echo "internal/fleet coverage $$total% fell below the $(FLEET_COVER_FLOOR)% floor" >&2; exit 1; }
-
-# Checkpoint-resume gate: run the replay experiment with a deliberate
-# per-shard interrupt (-stop-after, the deterministic "kill"), expect
-# exit 3 with a checkpoint saved, resume to completion from the file
-# alone, and byte-compare against an uninterrupted run. Catches any
-# state that fails to round-trip through a shard cursor.
-.PHONY: resume
-resume:
-	$(GO) build -o /tmp/snicbench.resume ./cmd/snicbench
-	@rm -f /tmp/snic.resume.ckpt /tmp/snic.resume.out /tmp/snic.resume.want
-	/tmp/snicbench.resume -experiment replay -scale small > /tmp/snic.resume.want
-	@/tmp/snicbench.resume -experiment replay -scale small \
-		-checkpoint /tmp/snic.resume.ckpt -stop-after 2000 > /dev/null; \
-	st=$$?; if [ $$st -ne 3 ]; then \
-		echo "resume gate: interrupted run exited $$st, want 3" >&2; exit 1; fi
-	@test -s /tmp/snic.resume.ckpt || \
-		{ echo "resume gate: no checkpoint written" >&2; exit 1; }
-	/tmp/snicbench.resume -experiment replay -scale small \
-		-checkpoint /tmp/snic.resume.ckpt > /tmp/snic.resume.out
-	cmp /tmp/snic.resume.want /tmp/snic.resume.out
-	@rm -f /tmp/snicbench.resume /tmp/snic.resume.ckpt /tmp/snic.resume.out /tmp/snic.resume.want
-	@echo "resume gate: interrupted replay resumed byte-identically"
 
 # Go line counts the way ROADMAP reports them: files tracked by git,
 # outside bench/ and testdata/, split into production and test code.

@@ -34,20 +34,22 @@
 // The "replay" experiment streams a CAIDA-shaped window (full scale:
 // the paper's 26.7 M flows x 50 packets each) through per-shard
 // Monitor models in O(1) memory. -checkpoint FILE makes it resumable:
-// an interrupted run (or one cut short by -stop-after N, the CI resume
-// gate's deterministic "kill") saves its cursors there and exits 3;
+// an interrupted run (or one cut short by -stop-after N, the
+// deterministic "kill" TestReplayResumesByteIdentically drives) saves
+// its cursors there and exits 3;
 // rerunning with the same flags resumes and the final output is
 // byte-identical to an uninterrupted run.
 //
 // Exit status: 0 on success, 1 when an experiment fails, 2 for usage
-// errors (unknown experiment, bad -format, bad flags), 3 when a replay
-// was interrupted with its checkpoint saved.
+// errors (unknown experiment or scale, bad -format, bad flags), 3 when
+// a replay was interrupted with its checkpoint saved.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -60,12 +62,13 @@ import (
 )
 
 // bench carries everything an experiment needs: the engine-backed
-// runner, the scale configuration, the output emitter, and the NF
-// profiles memoized across the experiments that share them.
+// runner, the scale configuration, the output emitter and its writer,
+// and the NF profiles memoized across the experiments that share them.
 type bench struct {
 	runner     *exp.Runner
 	cfgs       configs
 	outFmt     exp.Format
+	out        io.Writer
 	profiles   []exp.NFProfile
 	checkpoint string
 	stopAfter  uint64
@@ -76,7 +79,7 @@ func (b *bench) emit(t exp.Table) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(s)
+	fmt.Fprintln(b.out, s)
 	return nil
 }
 
@@ -136,7 +139,7 @@ var registry = map[string]func(*bench) error{
 			return err
 		}
 		med, p99 := exp.MedianAcrossNFs(rows, "4MB")
-		fmt.Printf("  2 NFs @ 4MB: mean-of-medians %.2f%%, p99 %.2f%% (paper: 0.24%% median)\n\n", med, p99)
+		fmt.Fprintf(b.out, "  2 NFs @ 4MB: mean-of-medians %.2f%%, p99 %.2f%% (paper: 0.24%% median)\n\n", med, p99)
 		return nil
 	},
 	"fig5b": func(b *bench) error {
@@ -149,10 +152,10 @@ var registry = map[string]func(*bench) error{
 		}
 		for _, n := range b.cfgs.counts {
 			med, p99 := exp.MedianAcrossNFs(rows, fmt.Sprintf("%d NFs", n))
-			fmt.Printf("  %2d NFs @ 4MB: mean-of-medians %.2f%%, p99 %.2f%%\n", n, med, p99)
+			fmt.Fprintf(b.out, "  %2d NFs @ 4MB: mean-of-medians %.2f%%, p99 %.2f%%\n", n, med, p99)
 		}
-		fmt.Println("  (paper: 4 NFs 0.93%/1.66%, 8 NFs 3.41%/5.12%, 16 NFs 9.44%/13.71%)")
-		fmt.Println()
+		fmt.Fprintln(b.out, "  (paper: 4 NFs 0.93%/1.66%, 8 NFs 3.41%/5.12%, 16 NFs 9.44%/13.71%)")
+		fmt.Fprintln(b.out)
 		return nil
 	},
 	"fig5dev": func(b *bench) error {
@@ -228,54 +231,71 @@ func experimentNames() []string {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run (see -list)")
-	scale := flag.String("scale", "medium", "fidelity: small | medium | full")
-	format := flag.String("format", "text", "output format: text | csv | json")
-	workers := flag.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
-	verbose := flag.Bool("v", false, "report engine metrics per sweep on stderr")
-	tracePath := flag.String("trace", "", "write a Chrome-trace-event JSON file of cycle-stamped spans")
-	traceCap := flag.Int("trace-cap", 0, "flight recorder: retain at most N spans per track (0 = unbounded)")
-	metrics := flag.Bool("metrics", false, "print the simulated-time metric dump on stderr")
-	metricsFormat := flag.String("metrics-format", "text", "-metrics format: text (# snic-metrics v1) | prom (Prometheus exposition)")
-	progressEvery := flag.Duration("progress", 0, "print a live progress line on stderr every interval (e.g. 2s; wall-clock telemetry, never in results)")
-	checkpoint := flag.String("checkpoint", "", "replay: persist/resume shard cursors at FILE")
-	stopAfter := flag.Uint64("stop-after", 0, "replay: interrupt each shard after N packets this run (exit 3)")
-	list := flag.Bool("list", false, "list experiment names and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snicbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiment := fs.String("experiment", "all", "which experiment to run (see -list)")
+	scale := fs.String("scale", "medium", "fidelity: small | medium | full")
+	format := fs.String("format", "text", "output format: text | csv | json")
+	workers := fs.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
+	verbose := fs.Bool("v", false, "report engine metrics per sweep on stderr")
+	tracePath := fs.String("trace", "", "write a Chrome-trace-event JSON file of cycle-stamped spans")
+	traceCap := fs.Int("trace-cap", 0, "flight recorder: retain at most N spans per track (0 = unbounded)")
+	metrics := fs.Bool("metrics", false, "print the simulated-time metric dump on stderr")
+	metricsFormat := fs.String("metrics-format", "text", "-metrics format: text (# snic-metrics v1) | prom (Prometheus exposition)")
+	progressEvery := fs.Duration("progress", 0, "print a live progress line on stderr every interval (e.g. 2s; wall-clock telemetry, never in results)")
+	checkpoint := fs.String("checkpoint", "", "replay: persist/resume shard cursors at FILE")
+	stopAfter := fs.Uint64("stop-after", 0, "replay: interrupt each shard after N packets this run (exit 3)")
+	list := fs.Bool("list", false, "list experiment names and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, e := range experimentNames() {
-			fmt.Println(e)
+			fmt.Fprintln(stdout, e)
 		}
-		return
+		return 0
 	}
 	if *experiment != "all" && registry[*experiment] == nil {
-		fmt.Fprintf(os.Stderr, "snicbench: unknown experiment %q (valid: %s, all)\n",
+		fmt.Fprintf(stderr, "snicbench: unknown experiment %q (valid: %s, all)\n",
 			*experiment, strings.Join(experimentNames(), ", "))
-		os.Exit(2)
+		return 2
+	}
+	cfgs, ok := scaleConfigs(*scale)
+	if !ok {
+		fmt.Fprintf(stderr, "snicbench: unknown -scale %q (valid: small, medium, full)\n", *scale)
+		return 2
 	}
 
 	outFmt, err := exp.ParseFormat(*format)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snicbench:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "snicbench:", err)
+		return 2
 	}
 	if *metricsFormat != "text" && *metricsFormat != "prom" {
-		fmt.Fprintf(os.Stderr, "snicbench: unknown -metrics-format %q (want text or prom)\n", *metricsFormat)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "snicbench: unknown -metrics-format %q (want text or prom)\n", *metricsFormat)
+		return 2
 	}
 
 	b := &bench{
 		runner:     &exp.Runner{Workers: *workers},
-		cfgs:       scaleConfigs(*scale),
+		cfgs:       cfgs,
 		outFmt:     outFmt,
+		out:        stdout,
 		checkpoint: *checkpoint,
 		stopAfter:  *stopAfter,
 	}
 	if *verbose {
-		b.runner.Observe = func(m engine.Metrics) { fmt.Fprintln(os.Stderr, m.String()) }
+		b.runner.Observe = func(m engine.Metrics) { fmt.Fprintln(stderr, m.String()) }
 		b.runner.OnJob = func(s engine.JobStat) {
-			fmt.Fprintf(os.Stderr, "engine: %s/%s done in %v (worker %d)\n",
+			fmt.Fprintf(stderr, "engine: %s/%s done in %v (worker %d)\n",
 				s.Experiment, s.Key, s.Duration, s.Worker)
 		}
 	}
@@ -286,25 +306,27 @@ func main() {
 		b.runner.Obs = reg
 	}
 	var prog *obs.Progress
-	var stopProgress chan struct{}
+	stopProgress := func() {}
 	if *progressEvery > 0 {
 		// Live telemetry rides on the engine's sanctioned wall clock and
 		// never touches results or the deterministic exports above.
 		prog = obs.NewProgress(engine.DefaultWall())
 		b.runner.Progress = prog
-		stopProgress = make(chan struct{})
+		stop, done := make(chan struct{}), make(chan struct{})
 		go func() {
+			defer close(done)
 			t := time.NewTicker(*progressEvery)
 			defer t.Stop()
 			for {
 				select {
 				case <-t.C:
-					fmt.Fprintln(os.Stderr, prog.Snapshot().String())
-				case <-stopProgress:
+					fmt.Fprintln(stderr, prog.Snapshot().String())
+				case <-stop:
 					return
 				}
 			}
 		}()
+		stopProgress = func() { close(stop); <-done }
 	}
 
 	for _, name := range experimentNames() {
@@ -312,37 +334,39 @@ func main() {
 			continue
 		}
 		if err := registry[name](b); err != nil {
+			stopProgress()
 			if errors.Is(err, engine.ErrInterrupted) {
-				fmt.Fprintf(os.Stderr, "snicbench: %s: interrupted, checkpoint saved; rerun to resume\n", name)
-				os.Exit(3)
+				fmt.Fprintf(stderr, "snicbench: %s: interrupted, checkpoint saved; rerun to resume\n", name)
+				return 3
 			}
-			fmt.Fprintf(os.Stderr, "snicbench: %s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "snicbench: %s: %v\n", name, err)
+			return 1
 		}
 	}
 
-	if stopProgress != nil {
-		close(stopProgress)
-		fmt.Fprintln(os.Stderr, prog.Snapshot().String())
+	stopProgress()
+	if prog != nil {
+		fmt.Fprintln(stderr, prog.Snapshot().String())
 	}
 	if *metrics {
 		if *metricsFormat == "prom" {
-			fmt.Fprint(os.Stderr, reg.PromText())
+			fmt.Fprint(stderr, reg.PromText())
 		} else {
-			fmt.Fprint(os.Stderr, reg.DumpMetrics())
+			fmt.Fprint(stderr, reg.DumpMetrics())
 		}
 	}
 	if *tracePath != "" {
 		data, err := reg.ChromeTrace()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "snicbench: trace export:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "snicbench: trace export:", err)
+			return 1
 		}
 		if err := os.WriteFile(*tracePath, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "snicbench:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "snicbench:", err)
+			return 1
 		}
 	}
+	return 0
 }
 
 type configs struct {
@@ -361,7 +385,9 @@ type configs struct {
 	replay       exp.ReplayConfig
 }
 
-func scaleConfigs(scale string) configs {
+// scaleConfigs returns the configuration for a -scale name, and false
+// for an unknown one.
+func scaleConfigs(scale string) (configs, bool) {
 	switch scale {
 	case "small":
 		return configs{
@@ -374,7 +400,7 @@ func scaleConfigs(scale string) configs {
 			fleetDevices: 3, fleetEvents: 30,
 			churn:  exp.ChurnConfig{Events: 60, Target: 6, Batch: 4, MemMB: 1},
 			replay: exp.ReplayConfig{Flows: 20000, PerFlow: 3, Shards: 4, Seed: 0xCA1DA},
-		}
+		}, true
 	case "full":
 		return configs{
 			suite: nf.SuiteConfig{Seed: 1}, flows: 100000, packets: 2000000,
@@ -392,8 +418,8 @@ func scaleConfigs(scale string) configs {
 			// packet:flow ratio (1.34 G packets). Streams in O(1) memory;
 			// pair with -checkpoint to make the hours-long run resumable.
 			replay: exp.ReplayConfig{Flows: 26_700_000, PerFlow: 50, Shards: 64, Seed: 0xCA1DA},
-		}
-	default: // medium
+		}, true
+	case "medium":
 		return configs{
 			suite: nf.SuiteConfig{FirewallRules: 643, DPIPatterns: 8000,
 				Routes: 16000, Backends: 64, Seed: 1},
@@ -407,6 +433,7 @@ func scaleConfigs(scale string) configs {
 			churn: exp.ChurnConfig{Events: 400, Target: 8, Batch: 8, MemMB: 1},
 			// Matches the golden suite's replay shape.
 			replay: exp.ReplayConfig{Flows: 50000, PerFlow: 3, Shards: 4, Seed: 0xCA1DA},
-		}
+		}, true
 	}
+	return configs{}, false
 }

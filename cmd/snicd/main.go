@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -57,11 +58,15 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+// listen opens serve mode's socket; tests wrap it to reach the listener
+// and shut the server down.
+var listen = net.Listen
+
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("snicd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		listen   = fs.String("listen", "127.0.0.1:8080", "address to serve the northbound API on")
+		addr     = fs.String("listen", "127.0.0.1:8080", "address to serve the northbound API on")
 		seed     = fs.Uint64("seed", 1, "base seed for every derived randomness stream")
 		policy   = fs.String("policy", "", "placement policy: bestfit (default), firstfit, spread")
 		workers  = fs.Int("workers", 0, "engine pool size for traffic bursts (0 = GOMAXPROCS; results identical for any value)")
@@ -100,7 +105,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(stderr, "snicd:", err)
 		return 1
@@ -140,7 +145,7 @@ func applyConfig(m *fleet.Manager, path string) error {
 // runScenario drives one script against an in-process server — the same
 // live-HTTP path the scenario test suite uses — and prints the
 // requested snapshot(s).
-func runScenario(path, show string, workers int, stdout, stderr *os.File) int {
+func runScenario(path, show string, workers int, stdout, stderr io.Writer) int {
 	sc, err := fleet.LoadScenario(path)
 	if err != nil {
 		fmt.Fprintln(stderr, "snicd:", err)

@@ -14,8 +14,9 @@
 //	snicstat -hist after.txt
 //
 // -promcheck validates a Prometheus text exposition payload ("-" reads
-// stdin) with the in-repo stdlib validator — the no-dependency stand-in
-// for promtool that CI runs against a live snicd:
+// stdin) with the in-repo stdlib validator, the no-dependency stand-in
+// for promtool; snicd's TestServeTelemetry applies the same validator to
+// a live daemon's exposition:
 //
 //	curl -s 'localhost:8080/v1/metrics?format=prom' | snicstat -promcheck -
 //
@@ -36,6 +37,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -64,55 +66,67 @@ func parseFile(path string) (map[string]int64, error) {
 }
 
 func main() {
-	all := flag.Bool("all", false, "diff: show unchanged series too")
-	hist := flag.String("hist", "", "summarize the histograms in DUMP (p50/p90/p99) and exit")
-	promcheck := flag.String("promcheck", "", "validate a Prometheus exposition FILE (- = stdin) and exit")
-	watch := flag.String("watch", "", "poll a live snicd at URL, printing progress and metric churn")
-	interval := flag.Duration("interval", 2*time.Second, "watch: poll interval")
-	polls := flag.Int("n", 0, "watch: stop after N polls (0 = until killed)")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: snicstat [-all] OLD.txt NEW.txt")
-		fmt.Fprintln(os.Stderr, "       snicstat -hist DUMP.txt")
-		fmt.Fprintln(os.Stderr, "       snicstat -promcheck FILE|-")
-		fmt.Fprintln(os.Stderr, "       snicstat -watch URL [-interval D] [-n N]")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snicstat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	all := fs.Bool("all", false, "diff: show unchanged series too")
+	hist := fs.String("hist", "", "summarize the histograms in DUMP (p50/p90/p99) and exit")
+	promcheck := fs.String("promcheck", "", "validate a Prometheus exposition FILE (- = stdin) and exit")
+	watch := fs.String("watch", "", "poll a live snicd at URL, printing progress and metric churn")
+	interval := fs.Duration("interval", 2*time.Second, "watch: poll interval")
+	polls := fs.Int("n", 0, "watch: stop after N polls (0 = until killed)")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: snicstat [-all] OLD.txt NEW.txt")
+		fmt.Fprintln(stderr, "       snicstat -hist DUMP.txt")
+		fmt.Fprintln(stderr, "       snicstat -promcheck FILE|-")
+		fmt.Fprintln(stderr, "       snicstat -watch URL [-interval D] [-n N]")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	switch {
 	case *hist != "":
-		os.Exit(runHist(*hist))
+		return runHist(*hist, stdout, stderr)
 	case *promcheck != "":
-		os.Exit(runPromCheck(*promcheck))
+		return runPromCheck(*promcheck, stdin, stdout, stderr)
 	case *watch != "":
-		os.Exit(runWatch(strings.TrimRight(*watch, "/"), *interval, *polls))
+		return runWatch(strings.TrimRight(*watch, "/"), *interval, *polls, stdout, stderr)
 	}
 
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
 	}
-	oldDump, err := parseFile(flag.Arg(0))
+	oldDump, err := parseFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snicstat:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "snicstat:", err)
+		return 2
 	}
-	newDump, err := parseFile(flag.Arg(1))
+	newDump, err := parseFile(fs.Arg(1))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snicstat:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "snicstat:", err)
+		return 2
 	}
 
 	text, changed := obs.Diff(oldDump, newDump, *all)
 	if changed == 0 && !*all {
-		fmt.Printf("identical: %d series\n", len(oldDump))
-		return
+		fmt.Fprintf(stdout, "identical: %d series\n", len(oldDump))
+		return 0
 	}
-	fmt.Print(text)
+	fmt.Fprint(stdout, text)
 	if changed > 0 {
-		fmt.Printf("%d of %d series changed\n", changed, len(oldDump)+countAdded(oldDump, newDump))
-		os.Exit(1)
+		fmt.Fprintf(stdout, "%d of %d series changed\n", changed, len(oldDump)+countAdded(oldDump, newDump))
+		return 1
 	}
+	return 0
 }
 
 // countAdded counts series present only in the new dump, so the summary
@@ -128,51 +142,51 @@ func countAdded(oldDump, newDump map[string]int64) int {
 }
 
 // runHist renders percentile summaries for every histogram in a dump.
-func runHist(path string) int {
+func runHist(path string, stdout, stderr io.Writer) int {
 	dump, err := parseFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snicstat:", err)
+		fmt.Fprintln(stderr, "snicstat:", err)
 		return 2
 	}
 	sums := obs.HistSummaries(dump)
 	if len(sums) == 0 {
-		fmt.Println("no histograms in dump")
+		fmt.Fprintln(stdout, "no histograms in dump")
 		return 0
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', tabwriter.AlignRight)
+	tw := tabwriter.NewWriter(stdout, 2, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "series\tcount\tsum\tp50\tp90\tp99\t")
 	for _, s := range sums {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%.0f\t%.0f\t%.0f\t\n", s.Series, s.Count, s.Sum, s.P50, s.P90, s.P99)
 	}
 	tw.Flush()
-	fmt.Println("(percentiles interpolated from power-of-two buckets: order-of-magnitude reads)")
+	fmt.Fprintln(stdout, "(percentiles interpolated from power-of-two buckets: order-of-magnitude reads)")
 	return 0
 }
 
 // runPromCheck validates a Prometheus exposition payload.
-func runPromCheck(path string) int {
-	var rd io.Reader = os.Stdin
+func runPromCheck(path string, stdin io.Reader, stdout, stderr io.Writer) int {
+	rd := stdin
 	if path != "-" {
 		f, err := os.Open(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "snicstat:", err)
+			fmt.Fprintln(stderr, "snicstat:", err)
 			return 2
 		}
 		defer f.Close()
 		rd = f
 	}
 	if err := obs.ValidateExposition(rd); err != nil {
-		fmt.Fprintln(os.Stderr, "snicstat: exposition invalid:", err)
+		fmt.Fprintln(stderr, "snicstat: exposition invalid:", err)
 		return 1
 	}
-	fmt.Println("exposition ok")
+	fmt.Fprintln(stdout, "exposition ok")
 	return 0
 }
 
 // runWatch polls a live snicd's /v1/metrics and /v1/progress, printing
 // one line per poll: the daemon's progress snapshot plus the number of
 // metric series that changed since the previous poll.
-func runWatch(base string, interval time.Duration, polls int) int {
+func runWatch(base string, interval time.Duration, polls int, stdout, stderr io.Writer) int {
 	client := &http.Client{Timeout: interval}
 	var prev map[string]int64
 	for i := 0; polls == 0 || i < polls; i++ {
@@ -181,12 +195,12 @@ func runWatch(base string, interval time.Duration, polls int) int {
 		}
 		dump, err := fetchDump(client, base+"/v1/metrics")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "snicstat:", err)
+			fmt.Fprintln(stderr, "snicstat:", err)
 			return 1
 		}
 		snap, err := fetchProgress(client, base+"/v1/progress")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "snicstat:", err)
+			fmt.Fprintln(stderr, "snicstat:", err)
 			return 1
 		}
 		churn := ""
@@ -194,7 +208,7 @@ func runWatch(base string, interval time.Duration, polls int) int {
 			_, changed := obs.Diff(prev, dump, false)
 			churn = fmt.Sprintf(" | %d series changed", changed)
 		}
-		fmt.Printf("%s | %d series%s\n", snap.String(), len(dump), churn)
+		fmt.Fprintf(stdout, "%s | %d series%s\n", snap.String(), len(dump), churn)
 		prev = dump
 	}
 	return 0

@@ -100,3 +100,13 @@ func TestGoldenFigure7(t *testing.T) {
 func TestGoldenFigure8(t *testing.T) {
 	golden(t, "fig8", RenderFig8(Figure8(1500)).String())
 }
+
+// TestGoldenFleet pins the fleet churn table at the worker-invariance
+// suite's shape.
+func TestGoldenFleet(t *testing.T) {
+	rows, err := FleetChurn(4, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "fleet", RenderFleet(rows).String())
+}

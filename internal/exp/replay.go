@@ -30,7 +30,7 @@ type ReplayConfig struct {
 	// from it when the file already exists.
 	CheckpointPath string
 	// StopAfter > 0 deliberately interrupts each shard after that many
-	// packets in this process run (the CI resume gate's "kill").
+	// packets in this process run (the resume tests' "kill").
 	StopAfter uint64
 }
 

@@ -46,7 +46,8 @@ func TestPromTextGolden(t *testing.T) {
 }
 
 // TestPromTextValidates: the renderer's output passes the in-repo
-// exposition validator — the same check CI runs against a live snicd.
+// exposition validator — the same check cmd/snicd's TestServeTelemetry
+// runs against a live daemon.
 func TestPromTextValidates(t *testing.T) {
 	out := promTestRegistry().PromText()
 	if err := ValidateExposition(strings.NewReader(out)); err != nil {
