@@ -152,6 +152,26 @@ func BenchmarkFigure5bCotenancySweep(b *testing.B) {
 	b.ReportMetric(m8, "pct-degr-8NF")
 }
 
+// BenchmarkFigure5Suite runs fig5a, fig5b and fig5dev on one Runner, as
+// snicbench does, so fig5b's 2-NF column and fig5dev reuse fig5a's 4MB
+// groups. Each iteration starts a fresh Runner and so times one whole
+// suite, not the previous iteration's results.
+func BenchmarkFigure5Suite(b *testing.B) {
+	cfg := fig5Bench()
+	for i := 0; i < b.N; i++ {
+		r := &exp.Runner{}
+		if _, err := r.Figure5a(cfg, []uint64{64 << 10, 4 << 20}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Figure5b(cfg, []int{2, 4}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Figure5Devices(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkFigure6InstructionLatency(b *testing.B) {
 	var rows []exp.Fig6Row
 	for i := 0; i < b.N; i++ {
@@ -235,8 +255,10 @@ func BenchmarkEngineFigure5b(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(workerName(w), func(b *testing.B) {
 			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-			r := &exp.Runner{Workers: w}
 			for i := 0; i < b.N; i++ {
+				// A fresh Runner per iteration: a Runner keeps the groups
+				// it simulated, so reusing one would time memo hits.
+				r := &exp.Runner{Workers: w}
 				if _, err := r.Figure5b(cfg, []int{2, 4, 8}); err != nil {
 					b.Fatal(err)
 				}

@@ -183,11 +183,16 @@ func runPromCheck(path string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// watchTimeout bounds each -watch request. It is independent of the
+// poll interval: a short interval asks for frequent polls, not for
+// giving up on a daemon that takes longer than that to answer.
+const watchTimeout = 10 * time.Second
+
 // runWatch polls a live snicd's /v1/metrics and /v1/progress, printing
 // one line per poll: the daemon's progress snapshot plus the number of
 // metric series that changed since the previous poll.
 func runWatch(base string, interval time.Duration, polls int, stdout, stderr io.Writer) int {
-	client := &http.Client{Timeout: interval}
+	client := &http.Client{Timeout: watchTimeout}
 	var prev map[string]int64
 	for i := 0; polls == 0 || i < polls; i++ {
 		if i > 0 {

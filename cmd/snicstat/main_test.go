@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"snic/internal/obs"
 )
@@ -149,5 +150,25 @@ func TestWatch(t *testing.T) {
 	srv.Close()
 	if code, _, _ := snicstat(t, "", "-watch", srv.URL, "-n", "1"); code != 1 {
 		t.Errorf("unreachable daemon: exit %d, want 1", code)
+	}
+}
+
+// TestWatchSlowDaemon: a daemon that answers more slowly than the poll
+// interval is still polled; the interval is not a request timeout.
+func TestWatchSlowDaemon(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(20 * time.Millisecond)
+		switch r.URL.Path {
+		case "/v1/metrics":
+			io.WriteString(w, registry(1).DumpMetrics())
+		case "/v1/progress":
+			json.NewEncoder(w).Encode(obs.ProgressSnapshot{Experiment: "burst"})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+	if code, _, errOut := snicstat(t, "", "-watch", srv.URL, "-n", "1", "-interval", "10ms"); code != 0 {
+		t.Fatalf("exit %d\n%s", code, errOut)
 	}
 }

@@ -37,6 +37,11 @@ type Arbiter interface {
 	Reset()
 	// Name identifies the discipline for reports.
 	Name() string
+	// Config names the discipline and every parameter that shapes its
+	// grants, e.g. "temporal n=2 epoch=60 dead=10": two arbiters with
+	// equal Configs grant identically from reset, so results computed
+	// under one may be reused for the other.
+	Config() string
 }
 
 // Stats tracks per-domain bus usage.
@@ -152,6 +157,9 @@ func (f *FIFO) Reset() { f.nextFree = 0 }
 // Name implements Arbiter.
 func (f *FIFO) Name() string { return "fifo" }
 
+// Config implements Arbiter: FIFO has no parameters.
+func (f *FIFO) Config() string { return "fifo" }
+
 // ---------------------------------------------------------------------------
 
 // RoundRobin is budgeted fair sharing: bus time is divided into accounting
@@ -219,6 +227,11 @@ func (r *RoundRobin) Reset() { r.wins = make(map[uint64]*winState) }
 
 // Name implements Arbiter.
 func (r *RoundRobin) Name() string { return "round-robin" }
+
+// Config implements Arbiter.
+func (r *RoundRobin) Config() string {
+	return fmt.Sprintf("round-robin n=%d window=%d", r.domains, r.window)
+}
 
 // ---------------------------------------------------------------------------
 
@@ -296,6 +309,11 @@ func (tp *Temporal) Reset() {
 
 // Name implements Arbiter.
 func (tp *Temporal) Name() string { return "temporal" }
+
+// Config implements Arbiter.
+func (tp *Temporal) Config() string {
+	return fmt.Sprintf("temporal n=%d epoch=%d dead=%d", tp.domains, tp.epoch, tp.deadTime)
+}
 
 // DeadOverlap returns how many cycles of the half-open interval
 // [from, to) fall inside dead-time tails — the part of a stall that is

@@ -228,4 +228,18 @@ func TestNames(t *testing.T) {
 	if tp.Epoch() != 100 || tp.DeadTime() != 10 {
 		t.Fatal("temporal accessors wrong")
 	}
+	// Config must tell apart every parameter that changes grants.
+	configs := map[string]bool{}
+	for _, a := range []Arbiter{
+		NewFIFO(), NewRoundRobin(2, 100), NewRoundRobin(3, 100), NewRoundRobin(2, 200),
+		NewTemporal(2, 100, 10), NewTemporal(3, 100, 10), NewTemporal(2, 120, 10), NewTemporal(2, 100, 20),
+	} {
+		if configs[a.Config()] {
+			t.Errorf("two arbiters share Config %q", a.Config())
+		}
+		configs[a.Config()] = true
+	}
+	if got := NewTemporal(2, 60, 10).Config(); got != "temporal n=2 epoch=60 dead=10" {
+		t.Errorf("temporal Config = %q", got)
+	}
 }

@@ -18,7 +18,7 @@ type AttackCol struct {
 
 // AttackMatrix runs the whole attack suite against every registered
 // device model and returns one column per model (in registry order).
-func AttackMatrix() ([]AttackCol, error) { return defaultRunner.AttackMatrix() }
+func AttackMatrix() ([]AttackCol, error) { return new(Runner).AttackMatrix() }
 
 // AttackMatrix decomposes the sweep into one engine job per model; each
 // job builds its own device through the factory, so columns are

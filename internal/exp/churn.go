@@ -61,7 +61,7 @@ type ChurnRow struct {
 }
 
 // ChurnNF runs the churn sweep on the default runner.
-func ChurnNF(cfg ChurnConfig) ([]ChurnRow, error) { return defaultRunner.ChurnNF(cfg) }
+func ChurnNF(cfg ChurnConfig) ([]ChurnRow, error) { return new(Runner).ChurnNF(cfg) }
 
 // ChurnNF continuously launches, attests, and tears down short-lived
 // NFs against every registered device model — one engine job per

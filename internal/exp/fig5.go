@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"snic/internal/bus"
 	"snic/internal/cache"
@@ -68,14 +69,13 @@ type Fig5Row struct {
 // counters under "<scope>/base" and "<scope>/dev"; the sides are not
 // named after their policies because a commodity dev is itself
 // "shared".
-func colocation(cfg Fig5Config, reg *obs.Registry, scope string, names []string, l2Size uint64, dev device.NIC) (base, devIPC []float64, err error) {
-	base, err = runGroup(cfg, reg, scope+"/base", names, l2Size,
-		cache.Shared, func(int) bus.Arbiter { return bus.NewFIFO() })
+func (r *Runner) colocation(cfg Fig5Config, scope string, names []string, l2Size uint64, dev device.NIC) (base, devIPC []float64, err error) {
+	base, err = r.runGroup(cfg, scope+"/base", names, l2Size, cache.Shared, bus.NewFIFO())
 	if err != nil {
 		return nil, nil, err
 	}
-	devIPC, err = runGroup(cfg, reg, scope+"/dev", names, l2Size,
-		dev.CachePolicy(), dev.NewBusArbiter)
+	devIPC, err = r.runGroup(cfg, scope+"/dev", names, l2Size,
+		dev.CachePolicy(), dev.NewBusArbiter(len(names)))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -87,18 +87,55 @@ func colocation(cfg Fig5Config, reg *obs.Registry, scope string, names []string,
 // given — no defaults are filled in — so Suite, PoolFlows and Seed must
 // be set, and zero windows measure nothing (every IPC reads 0).
 func CoTenancyIPC(cfg Fig5Config, names []string, l2Size uint64, dev device.NIC) ([]float64, error) {
-	return runGroup(cfg, nil, "", names, l2Size, dev.CachePolicy(), dev.NewBusArbiter)
+	return simulateGroup(cfg, nil, "", names, l2Size, dev.CachePolicy(), dev.NewBusArbiter(len(names)))
 }
 
-// runGroup is the one co-tenancy simulator: it runs one co-located NF
-// group under one cache policy and bus arbiter, returning each NF's
+// groupKey identifies one co-tenancy group run. simulateGroup's result
+// is a pure function of these inputs: the group's order matters (domain
+// i runs names[i] with seed cfg.Seed+i+1), and arb is the fresh
+// arbiter's Config, so disciplines that differ in any parameter never
+// share an entry.
+type groupKey struct {
+	cfg    Fig5Config
+	names  string // the ordered group, comma-joined
+	l2Size uint64
+	policy cache.Policy
+	arb    string
+}
+
+type groupResult struct {
+	ipcs []float64 // shared by every hit: read-only
+	err  error
+}
+
+// runGroup returns each NF's measured IPC for one co-located group,
+// simulating each distinct group once per Runner: fig5b's 2-NF column
+// and fig5dev reuse fig5a's 4MB groups, and a commodity model's dev side
+// (Shared L2, FIFO bus) reuses its baseline side. With a collector
+// attached every call simulates, so each scope still emits its series.
+// arb must be freshly built; it is consumed by the simulation.
+func (r *Runner) runGroup(cfg Fig5Config, scope string, names []string, l2Size uint64,
+	policy cache.Policy, arb bus.Arbiter) ([]float64, error) {
+	if r == nil || r.Obs != nil {
+		return simulateGroup(cfg, r.obsReg(), scope, names, l2Size, policy, arb)
+	}
+	key := groupKey{cfg: cfg, names: strings.Join(names, ","), l2Size: l2Size, policy: policy, arb: arb.Config()}
+	res := r.groups.Get(key, func() groupResult {
+		ipcs, err := simulateGroup(cfg, nil, "", names, l2Size, policy, arb)
+		return groupResult{ipcs: ipcs, err: err}
+	})
+	return res.ipcs, res.err
+}
+
+// simulateGroup is the one co-tenancy simulator: it runs one co-located
+// NF group under one cache policy and bus arbiter, returning each NF's
 // measured IPC. scope labels the metrics when a collector is attached.
 // NF models and the workload pool come from the process-wide memo
 // caches (see memo.go); every run still gets private L1s, a private L2,
 // fresh per-stream RNGs, and a fresh pool instantiation, so runs never
 // share mutable state.
-func runGroup(cfg Fig5Config, reg *obs.Registry, scope string, names []string, l2Size uint64,
-	policy cache.Policy, arb func(int) bus.Arbiter) ([]float64, error) {
+func simulateGroup(cfg Fig5Config, reg *obs.Registry, scope string, names []string, l2Size uint64,
+	policy cache.Policy, arb bus.Arbiter) ([]float64, error) {
 	n := len(names)
 	l2cfg := cache.Config{
 		Name: "L2", Size: l2Size, LineSize: 64, Ways: 16,
@@ -111,7 +148,7 @@ func runGroup(cfg Fig5Config, reg *obs.Registry, scope string, names []string, l
 	if err != nil {
 		return nil, err
 	}
-	tr := bus.NewTracker(arb(n), n)
+	tr := bus.NewTracker(arb, n)
 	if reg != nil {
 		l2.Observe(reg, scope)
 		tr.Observe(reg, scope)
@@ -186,7 +223,7 @@ func partnersFor(cfg Fig5Config, target string, groupSize, count int) [][]string
 
 // Figure5a sweeps L2 size with 2 co-located NFs.
 func Figure5a(cfg Fig5Config, l2Sizes []uint64) ([]Fig5Row, error) {
-	return defaultRunner.Figure5a(cfg, l2Sizes)
+	return new(Runner).Figure5a(cfg, l2Sizes)
 }
 
 // Figure5a decomposes the cache sweep into one engine job per
@@ -209,7 +246,7 @@ func (r *Runner) Figure5a(cfg Fig5Config, l2Sizes []uint64) ([]Fig5Row, error) {
 				Experiment: "fig5a",
 				Key:        key,
 				Run: func(*sim.Rand) (Fig5Row, error) {
-					return cachePoint(cfg, r.obsReg(), "fig5a/"+key, "snic", target, 2, 0, size)
+					return r.cachePoint(cfg, "fig5a/"+key, "snic", target, 2, 0, size)
 				},
 			})
 		}
@@ -219,7 +256,7 @@ func (r *Runner) Figure5a(cfg Fig5Config, l2Sizes []uint64) ([]Fig5Row, error) {
 
 // Figure5b sweeps co-tenancy at a fixed 4 MB L2.
 func Figure5b(cfg Fig5Config, counts []int) ([]Fig5Row, error) {
-	return defaultRunner.Figure5b(cfg, counts)
+	return new(Runner).Figure5b(cfg, counts)
 }
 
 // Figure5b decomposes the co-tenancy sweep into one engine job per
@@ -237,7 +274,7 @@ func (r *Runner) Figure5b(cfg Fig5Config, counts []int) ([]Fig5Row, error) {
 				Experiment: "fig5b",
 				Key:        key,
 				Run: func(*sim.Rand) (Fig5Row, error) {
-					row, err := cachePoint(cfg, r.obsReg(), "fig5b/"+key, "snic", target, n, cfg.Colocations, 4<<20)
+					row, err := r.cachePoint(cfg, "fig5b/"+key, "snic", target, n, cfg.Colocations, 4<<20)
 					if err != nil {
 						return Fig5Row{}, err
 					}
@@ -254,14 +291,14 @@ func (r *Runner) Figure5b(cfg Fig5Config, counts []int) ([]Fig5Row, error) {
 // distribution over its sampled colocation groups at one L2 size, with
 // the isolated side run on a fresh device of the named model. scope
 // prefixes the metric device labels (one sub-scope per sampled group).
-func cachePoint(cfg Fig5Config, reg *obs.Registry, scope, model, target string, groupSize, count int, l2Size uint64) (Fig5Row, error) {
+func (r *Runner) cachePoint(cfg Fig5Config, scope, model, target string, groupSize, count int, l2Size uint64) (Fig5Row, error) {
 	dev, err := device.New(device.Spec{Model: model})
 	if err != nil {
 		return Fig5Row{}, err
 	}
 	var degs []float64
 	for gi, group := range partnersFor(cfg, target, groupSize, count) {
-		base, devIPC, err := colocation(cfg, reg, fmt.Sprintf("%s/g%d", scope, gi), group, l2Size, dev)
+		base, devIPC, err := r.colocation(cfg, fmt.Sprintf("%s/g%d", scope, gi), group, l2Size, dev)
 		if err != nil {
 			return Fig5Row{}, err
 		}
@@ -318,7 +355,7 @@ func MedianAcrossNFs(rows []Fig5Row, x string) (mean float64, p99 float64) {
 // grounds as the 99th-percentile IPC degradation with 4 co-located NFs
 // and a 4 MB L2. It returns (median, p99) in percent.
 func ThroughputHeadline(cfg Fig5Config) (float64, float64, error) {
-	return defaultRunner.ThroughputHeadline(cfg)
+	return new(Runner).ThroughputHeadline(cfg)
 }
 
 // ThroughputHeadline computes the §1 claim on r's worker pool.

@@ -30,7 +30,7 @@ type Fig5DevRow struct {
 // Figure5Devices sweeps the pairwise colocation comparison across every
 // registered device model on the default runner.
 func Figure5Devices(cfg Fig5Config) ([]Fig5DevRow, error) {
-	return defaultRunner.Figure5Devices(cfg)
+	return new(Runner).Figure5Devices(cfg)
 }
 
 // Figure5Devices decomposes the device sweep into one engine job per
@@ -46,7 +46,7 @@ func (r *Runner) Figure5Devices(cfg Fig5Config) ([]Fig5DevRow, error) {
 				Experiment: "fig5dev",
 				Key:        key,
 				Run: func(*sim.Rand) (Fig5DevRow, error) {
-					row, err := cachePoint(cfg, r.obsReg(), "fig5dev/"+key, model, target, 2, 0, 4<<20)
+					row, err := r.cachePoint(cfg, "fig5dev/"+key, model, target, 2, 0, 4<<20)
 					if err != nil {
 						return Fig5DevRow{}, err
 					}

@@ -29,7 +29,7 @@ type Fig6Row struct {
 // Figure6 launches each NF (sized by its published memory profile) on an
 // S-NIC and reports the simulated nf_launch / nf_attest / nf_destroy
 // latency breakdowns.
-func Figure6() ([]Fig6Row, error) { return defaultRunner.Figure6() }
+func Figure6() ([]Fig6Row, error) { return new(Runner).Figure6() }
 
 // Figure6 decomposes the instruction-latency sweep into one engine job
 // per NF. Each job builds its own vendor and device; the serial
@@ -131,7 +131,7 @@ type Fig7Point struct {
 // hash-resize spikes. flowRate 0 selects the CAIDA default (~7417/s);
 // tests pass smaller rates.
 func Figure7(seconds float64, flowRate float64, samples int) ([]Fig7Point, error) {
-	return defaultRunner.Figure7(seconds, flowRate, samples)
+	return new(Runner).Figure7(seconds, flowRate, samples)
 }
 
 // Figure7 runs as a single engine job: the time series is inherently
@@ -211,7 +211,7 @@ type Fig8Row struct {
 // Figure8 sweeps DPI accelerator throughput over cluster size and frame
 // size using the calibrated dispatcher/thread model.
 func Figure8(requests int) []Fig8Row {
-	rows, err := defaultRunner.Figure8(requests)
+	rows, err := new(Runner).Figure8(requests)
 	if err != nil {
 		// The model is pure; only a panicking job can produce an error.
 		panic(err)

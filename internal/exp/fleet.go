@@ -147,5 +147,5 @@ func RenderFleet(rows []FleetRow) Table {
 
 // FleetChurn is the package-level entry with default concurrency.
 func FleetChurn(devices, events int) ([]FleetRow, error) {
-	return defaultRunner.FleetChurn(devices, events)
+	return new(Runner).FleetChurn(devices, events)
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"snic/internal/engine"
+	"snic/internal/memo"
 	"snic/internal/obs"
 )
 
@@ -29,14 +30,16 @@ type Runner struct {
 	// collector is quarantined like obs.Wall: the sweeps write to it,
 	// only tools read it, and nothing deterministic depends on it.
 	Progress *obs.Progress
+
+	// groups holds this Runner's co-tenancy group results (see
+	// runGroup). It lives and dies with the Runner: the package-level
+	// experiment functions, which keep their historical signatures for
+	// tests, benchmarks and examples, each run on a fresh Runner.
+	groups memo.Cache[groupKey, groupResult]
 }
 
-// defaultRunner backs the package-level experiment functions, which keep
-// their historical signatures for tests, benchmarks, and examples.
-var defaultRunner = &Runner{}
-
 // obsReg returns the runner's collector; nil (detached) for the zero
-// value, a nil runner, and the package-level defaults.
+// value and a nil runner.
 func (r *Runner) obsReg() *obs.Registry {
 	if r == nil {
 		return nil

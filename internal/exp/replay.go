@@ -111,13 +111,13 @@ func digestFold(h, v uint64) uint64 {
 }
 
 // ReplayCAIDA streams the configured window through per-shard Monitor
-// models. See defaultRunner conventions: results are byte-identical for
+// models. Like every sweep, results are byte-identical for
 // any worker count, and — new with this experiment — across any
 // interrupt/resume schedule. On interruption the returned error wraps
 // engine.ErrInterrupted and the checkpoint file (if configured) holds
 // the resumable state.
 func ReplayCAIDA(cfg ReplayConfig) (ReplayResult, error) {
-	return defaultRunner.ReplayCAIDA(cfg)
+	return new(Runner).ReplayCAIDA(cfg)
 }
 
 // ReplayCAIDA decomposes the window into cfg.Shards engine jobs, each

@@ -1,6 +1,8 @@
 package nf
 
 import (
+	"sync"
+
 	"snic/internal/ac"
 	"snic/internal/cpu"
 	"snic/internal/mem"
@@ -23,6 +25,13 @@ type DPI struct {
 	Matches  uint64
 	Alerts   []ac.Match
 	keepLast int
+
+	// rowsOnce guards rows, the Zipf sampler over graph rows that every
+	// stream shares. Its CDF depends only on the automaton's size, so it
+	// is built on the first NewStream and each stream draws from it with
+	// its own RNG (see NewStream).
+	rowsOnce sync.Once
+	rows     *sim.Zipf
 }
 
 // NewDPI compiles patterns into a DPI engine. blocking selects drop-on-
@@ -86,12 +95,15 @@ func (d *DPI) NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu.Stre
 	if rows > 1<<16 {
 		rows = 1 << 16 // sampling grid; scaled below
 	}
-	z := sim.NewZipf(rng.Fork(), rows, 1.2)
+	d.rowsOnce.Do(func() { d.rows = sim.NewZipf(nil, rows, 1.2) })
+	// Each stream samples rows on its own child of rng. The Fork stays
+	// before any other draw on rng, so sharing the CDF moves no draw.
+	z := d.rows.WithRand(rng.Fork())
 	scale := (region / 64) / uint64(rows)
 	if scale == 0 {
 		scale = 1
 	}
-	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand) packetCost {
+	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand, touches []touch) packetCost {
 		// One graph-row reference per byte scanned; cap the emitted loads
 		// and fold the rest into compute (SIMD batches in the crate).
 		nloads := payloadLen / 2
@@ -101,7 +113,7 @@ func (d *DPI) NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu.Stre
 		if nloads < 4 {
 			nloads = 4
 		}
-		c := packetCost{parseInstr: 70, tailInstr: uint32(payloadLen) * 3}
+		c := packetCost{parseInstr: 70, touches: touches, tailInstr: uint32(payloadLen) * 3}
 		for i := 0; i < nloads; i++ {
 			row := uint64(z.Next()) * scale
 			c.touches = append(c.touches, touch{addr: graphBase + mem.Addr(row*64)})

@@ -109,14 +109,14 @@ func (f *Firewall) NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu
 	cacheBase := base + mem.Addr(pktSlot*64)
 	seenCap := FirewallCacheLimit
 	seen := make(map[int]bool)
-	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand) packetCost {
+	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand, touches []touch) packetCost {
 		off := flowOffset(flow, cacheRegion)
 		c := packetCost{
 			parseInstr: 90,
-			touches: []touch{
-				{addr: cacheBase + mem.Addr(off)},
-				{addr: cacheBase + mem.Addr(off) + 64},
-			},
+			touches: append(touches,
+				touch{addr: cacheBase + mem.Addr(off)},
+				touch{addr: cacheBase + mem.Addr(off) + 64},
+			),
 			tailInstr: 60,
 		}
 		if !seen[flow] && len(seen) < seenCap {

@@ -67,13 +67,13 @@ func (l *LPM) WorkingSet() uint64 { return l.table.MemoryBytes() }
 func (l *LPM) NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu.Stream {
 	region := l.table.MemoryBytes()
 	tblBase := base + mem.Addr(pktSlot*64)
-	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand) packetCost {
+	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand, touches []touch) packetCost {
 		dst := pool.Flow(flow).DstIP
 		// TBL24 index = top 24 bits; 4 B entries.
 		off := (uint64(dst>>8) * lpm.EntryBytes) % region
 		c := packetCost{
 			parseInstr: 80,
-			touches:    []touch{{addr: tblBase + mem.Addr(off&^63)}},
+			touches:    append(touches, touch{addr: tblBase + mem.Addr(off&^63)}),
 			tailInstr:  60,
 		}
 		if dst&0xFF < 32 { // a fraction of lookups continue into a TBL8 pool

@@ -100,14 +100,14 @@ func (m *Monitor) NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu.
 		region = 1 << 20
 	}
 	tblBase := base + mem.Addr(pktSlot*64)
-	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand) packetCost {
+	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand, touches []touch) packetCost {
 		off := flowOffset(flow, region)
 		return packetCost{
 			parseInstr: 70,
-			touches: []touch{
-				{addr: tblBase + mem.Addr(off)},
-				{addr: tblBase + mem.Addr(off), store: true},
-			},
+			touches: append(touches,
+				touch{addr: tblBase + mem.Addr(off)},
+				touch{addr: tblBase + mem.Addr(off), store: true},
+			),
 			tailInstr: 50,
 		}
 	})

@@ -148,15 +148,15 @@ func (n *NAT) NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu.Stre
 	}
 	tblBase := base + mem.Addr(pktSlot*64)
 	seen := make(map[int]bool)
-	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand) packetCost {
+	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand, touches []touch) packetCost {
 		off := flowOffset(flow, region/2)
 		roff := flowOffset(flow+1<<20, region/2)
 		c := packetCost{
 			parseInstr: 90,
-			touches: []touch{
-				{addr: tblBase + mem.Addr(off)},
-				{addr: tblBase + mem.Addr(region/2+roff)},
-			},
+			touches: append(touches,
+				touch{addr: tblBase + mem.Addr(off)},
+				touch{addr: tblBase + mem.Addr(region/2+roff)},
+			),
 			tailInstr: 110, // checksum-incremental header rewrite
 		}
 		if !seen[flow] && len(seen) < n.maxFlows {

@@ -21,8 +21,10 @@ type packetCost struct {
 }
 
 // costFn computes the cost of one packet given the sampled flow and a
-// per-NF scratch RNG.
-type costFn func(flow int, payloadLen int, rng *sim.Rand) packetCost
+// per-NF scratch RNG. It appends the packet's table references to
+// touches — the stream's own buffer, passed empty — and returns the
+// result as packetCost.touches, so no NF allocates per packet.
+type costFn func(flow int, payloadLen int, rng *sim.Rand, touches []touch) packetCost
 
 // pktStream converts per-packet costs into a cpu.Stream: for every packet
 // it emits a few loads to the packet buffer (headers live in the NF's
@@ -38,8 +40,9 @@ type pktStream struct {
 	pktRing uint64
 	pktIdx  uint64
 
-	queue []cpu.Op
-	qi    int
+	queue   []cpu.Op
+	qi      int
+	touches []touch // reused by cost for every packet
 }
 
 const pktSlot = 2048 // bytes per packet-buffer slot
@@ -62,7 +65,8 @@ func (s *pktStream) refill() {
 	s.qi = 0
 	flow := s.pool.NextFlow()
 	payloadLen := trace.IMIXLen(s.rng)
-	c := s.cost(flow, payloadLen, s.rng)
+	c := s.cost(flow, payloadLen, s.rng, s.touches[:0])
+	s.touches = c.touches
 
 	// Packet arrival: read the descriptor + first lines of the packet.
 	slot := s.pktBase + mem.Addr((s.pktIdx%s.pktRing)*pktSlot)

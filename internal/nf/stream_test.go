@@ -87,3 +87,67 @@ func TestPktStreamBatchStopsAtPacketBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestDPIStreamsShareRowCDF pins the DPI's build-once row sampler: each
+// of two streams from one *DPI — the second reusing the first one's
+// CDF — must draw exactly the graph rows that a freshly built
+// sim.NewZipf over the stream's forked RNG draws, the derivation every
+// stream used before the CDF was shared.
+func TestDPIStreamsShareRowCDF(t *testing.T) {
+	f, err := New("DPI", SuiteConfig{DPIPatterns: 2000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := f.(*DPI)
+	region := d.Automaton().MemoryBytes()
+	rows := int(region / 64)
+	if rows > 1<<16 {
+		rows = 1 << 16
+	}
+	scale := (region / 64) / uint64(rows)
+	base := mem.Addr(1) << 32
+	graphBase := base + mem.Addr(pktSlot*64)
+	for _, seed := range []uint64{3, 4} {
+		pool := trace.NewICTF(sim.NewRand(99), 2000)
+		s := d.NewStream(sim.NewRand(seed), pool, base)
+		oracle := sim.NewZipf(sim.NewRand(seed).Fork(), rows, 1.2)
+		drawn := 0
+		for drawn < 5000 {
+			op, _ := s.Next()
+			if op.Kind != cpu.Load || op.Addr < graphBase {
+				continue // packet-buffer reads
+			}
+			want := graphBase + mem.Addr(uint64(oracle.Next())*scale*64)
+			if op.Addr != want {
+				t.Fatalf("seed %d, row %d: stream loads %#x, fresh sampler says %#x", seed, drawn, op.Addr, want)
+			}
+			drawn++
+		}
+	}
+}
+
+// TestStreamNextDoesNotAllocate: after warm-up, producing ops costs no
+// allocation — every stream reuses its op queue and touches buffer.
+// Only Firewall's and LB's first-seen flow sets may still grow, so the
+// bound is a small average rather than zero.
+func TestStreamNextDoesNotAllocate(t *testing.T) {
+	const ops = 1000
+	for _, name := range Names {
+		f, err := New(name, TestScale(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := f.NewStream(sim.NewRand(3), trace.NewICTF(sim.NewRand(99), 2000), mem.Addr(1)<<32)
+		for i := 0; i < 200000; i++ {
+			s.Next()
+		}
+		perOp := testing.AllocsPerRun(20, func() {
+			for i := 0; i < ops; i++ {
+				s.Next()
+			}
+		}) / ops
+		if perOp > 0.05 {
+			t.Errorf("%s: %.3f allocations per Next after warm-up, want <= 0.05", name, perOp)
+		}
+	}
+}
