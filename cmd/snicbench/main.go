@@ -6,9 +6,8 @@
 //	snicbench -experiment fig5a -scale small
 //	snicbench -experiment fig5b -workers 8 -v
 //
-// Run with -list for the experiment names (per-device attack demos live
-// in cmd/snicattack; the cross-device outcome matrix is the "attacks"
-// experiment here).
+// Run with -list for the experiment names (the §3.3 cross-device attack
+// outcome matrix is the "attacks" experiment).
 //
 // Sweeps run on the internal/engine worker pool. Output is bit-identical
 // for every -workers value (each configuration point draws from an RNG

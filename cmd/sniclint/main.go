@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -25,79 +27,81 @@ import (
 )
 
 func main() {
-	checkList := flag.String("checks", "", "comma-separated check IDs to run (default: all)")
-	format := flag.String("format", "text", "output format: text, json, or sarif")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON (alias for -format json)")
-	list := flag.Bool("list", false, "list check IDs and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: sniclint [-checks id,id] [-format text|json|sarif] [packages]\n")
-		flag.PrintDefaults()
+	dir, err := os.Getwd()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sniclint:", err)
+		os.Exit(2)
 	}
-	flag.Parse()
+	os.Exit(run(os.Args[1:], dir, os.Stdout, os.Stderr))
+}
+
+// run lints the module that encloses dir; package patterns are relative
+// to that module's root.
+func run(args []string, dir string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sniclint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	checkList := fs.String("checks", "", "comma-separated check IDs to run (default: all)")
+	format := fs.String("format", "text", "output format: text, json, or sarif")
+	list := fs.Bool("list", false, "list check IDs and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: sniclint [-checks id,id] [-format text|json|sarif] [packages]\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "sniclint:", err)
+		return 2
+	}
 
 	if *list {
 		for _, c := range lint.Registry() {
-			fmt.Printf("%-24s %s\n", c.Name(), c.Doc())
+			fmt.Fprintf(stdout, "%-24s %s\n", c.Name(), c.Doc())
 		}
-		return
-	}
-	if *jsonOut {
-		*format = "json"
+		return 0
 	}
 	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "sniclint: unknown format %q (want text, json, or sarif)\n", *format)
-		os.Exit(2)
+		return fail(fmt.Errorf("unknown format %q (want text, json, or sarif)", *format))
 	}
 
 	checks, err := lint.Select(strings.Split(*checkList, ","))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sniclint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-
-	cwd, err := os.Getwd()
+	root, err := lint.FindModuleRoot(dir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sniclint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-	root, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sniclint:", err)
-		os.Exit(2)
-	}
-
 	loader := lint.NewLoader("snic", root)
-	pkgs, err := loader.LoadPatterns(flag.Args())
+	pkgs, err := loader.LoadPatterns(fs.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sniclint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 
 	diags := lint.Run(loader.Fset, pkgs, checks)
 	trim := root + string(os.PathSeparator)
+	var out string
 	switch *format {
 	case "json":
-		out, err := lint.RenderJSON(diags, trim)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sniclint:", err)
-			os.Exit(2)
-		}
-		fmt.Print(out)
+		out, err = lint.RenderJSON(diags, trim)
 	case "sarif":
-		out, err := lint.RenderSARIF(diags, trim)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sniclint:", err)
-			os.Exit(2)
-		}
-		fmt.Print(out)
+		out, err = lint.RenderSARIF(diags, trim)
 	default:
-		fmt.Print(lint.RenderText(diags, trim))
+		out = lint.RenderText(diags, trim)
 	}
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Fprint(stdout, out)
 	if len(diags) > 0 {
 		if *format == "text" {
-			fmt.Fprintf(os.Stderr, "sniclint: %d finding(s)\n", len(diags))
+			fmt.Fprintf(stderr, "sniclint: %d finding(s)\n", len(diags))
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

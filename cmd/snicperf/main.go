@@ -17,79 +17,119 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"snic/internal/perf"
 )
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "snicperf:", err)
-	os.Exit(2)
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-func main() {
-	record := flag.Bool("record", false, "parse `go test -bench` output from stdin into -o")
-	out := flag.String("o", "BENCH.json", "output file for -record")
-	section := flag.String("section", "", `section name: for -record, where to store (default "post"); for a single-file diff argument, which section to read`)
-	pr := flag.Int("pr", 0, "PR number to stamp into the file on -record")
-	threshold := flag.Float64("threshold", 10, "ns/op regression tolerance in percent before exit 1")
-	format := flag.String("format", "table", `diff output format: "table" or "json"`)
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: go test -bench=. -benchmem . | snicperf -record -o BENCH_N.json [-section post] [-pr N]
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snicperf", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	record := fs.Bool("record", false, "parse `go test -bench` output from stdin into -o")
+	out := fs.String("o", "BENCH.json", "output file for -record")
+	section := fs.String("section", "", `section name: for -record, where to store (default "post"); for a two-file diff, which section of each file to read`)
+	pr := fs.Int("pr", 0, "PR number to stamp into the file on -record")
+	threshold := fs.Float64("threshold", 10, "ns/op regression tolerance in percent before exit 1")
+	format := fs.String("format", "table", `diff output format: "table" or "json"`)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, `usage: go test -bench=. -benchmem . | snicperf -record -o BENCH_N.json [-section post] [-pr N]
        snicperf [-threshold PCT] BENCH_N.json             (baseline vs post)
        snicperf [-threshold PCT] OLD.json NEW.json`)
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "snicperf:", err)
+		return 2
+	}
 
 	if *record {
-		if flag.NArg() != 0 {
-			flag.Usage()
-			os.Exit(2)
+		if fs.NArg() != 0 {
+			fs.Usage()
+			return 2
 		}
-		doRecord(*out, *section, *pr)
-		return
+		if *section == "" {
+			*section = "post"
+		}
+		n, err := doRecord(stdin, *out, *section, *pr)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "snicperf: recorded %d benchmarks into %s section %q\n", n, *out, *section)
+		return 0
 	}
 
-	switch flag.NArg() {
+	var old, cur *perf.Summary
+	switch fs.NArg() {
 	case 1:
-		f := readFile(flag.Arg(0))
-		base := f.Sections["baseline"]
-		post := f.Sections["post"]
-		if base == nil || post == nil {
-			fatal(fmt.Errorf("%s: single-file diff needs both \"baseline\" and \"post\" sections", flag.Arg(0)))
+		f, err := readFile(fs.Arg(0))
+		if err != nil {
+			return fail(err)
 		}
-		diff(base, post, *threshold, *format)
+		old, cur = f.Sections["baseline"], f.Sections["post"]
+		if old == nil || cur == nil {
+			return fail(fmt.Errorf("%s: single-file diff needs both \"baseline\" and \"post\" sections", fs.Arg(0)))
+		}
 	case 2:
-		old, err := readFile(flag.Arg(0)).Section(*section)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", flag.Arg(0), err))
+		var err error
+		if old, err = readSection(fs.Arg(0), *section); err != nil {
+			return fail(err)
 		}
-		cur, err := readFile(flag.Arg(1)).Section(*section)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", flag.Arg(1), err))
+		if cur, err = readSection(fs.Arg(1), *section); err != nil {
+			return fail(err)
 		}
-		diff(old, cur, *threshold, *format)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+
+	deltas := perf.Diff(old, cur)
+	switch *format {
+	case "", "table":
+		fmt.Fprint(stdout, perf.RenderDiff(deltas, *threshold))
+	case "json":
+		doc, err := perf.RenderDiffJSON(deltas, *threshold)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprint(stdout, doc)
+	default:
+		return fail(fmt.Errorf("unknown -format %q (want table or json)", *format))
+	}
+	if n := perf.Regressions(deltas, *threshold); n > 0 {
+		if *format != "json" {
+			fmt.Fprintf(stdout, "%d of %d benchmarks regressed beyond %.0f%%\n", n, len(deltas), *threshold)
+		}
+		return 1
+	}
+	return 0
 }
 
-func doRecord(path, section string, pr int) {
-	if section == "" {
-		section = "post"
-	}
-	s, err := perf.ParseBench(os.Stdin)
+// doRecord parses benchmark text from r into path's section, creating
+// the file or replacing just that section, and returns how many
+// benchmarks it recorded.
+func doRecord(r io.Reader, path, section string, pr int) (int, error) {
+	s, err := perf.ParseBench(r)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	f := &perf.File{Sections: map[string]*perf.Summary{}}
 	if data, err := os.ReadFile(path); err == nil {
 		if f, err = perf.ReadFile(bytes.NewReader(data)); err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
+			return 0, fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	f.Sections[section] = s
@@ -98,46 +138,32 @@ func doRecord(path, section string, pr int) {
 	}
 	data, err := f.Marshal()
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "snicperf: recorded %d benchmarks into %s section %q\n",
-		len(s.Benchmarks), path, section)
+	return len(s.Benchmarks), os.WriteFile(path, data, 0o644)
 }
 
-func readFile(path string) *perf.File {
+func readFile(path string) (*perf.File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	f, err := perf.ReadFile(bytes.NewReader(data))
 	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return f
+	return f, nil
 }
 
-func diff(old, cur *perf.Summary, threshold float64, format string) {
-	deltas := perf.Diff(old, cur)
-	switch format {
-	case "", "table":
-		fmt.Print(perf.RenderDiff(deltas, threshold))
-	case "json":
-		out, err := perf.RenderDiffJSON(deltas, threshold)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(out)
-	default:
-		fatal(fmt.Errorf("unknown -format %q (want table or json)", format))
+// readSection reads one section of a BENCH file for a two-file diff.
+func readSection(path, section string) (*perf.Summary, error) {
+	f, err := readFile(path)
+	if err != nil {
+		return nil, err
 	}
-	n := perf.Regressions(deltas, threshold)
-	if n > 0 {
-		if format != "json" {
-			fmt.Printf("%d of %d benchmarks regressed beyond %.0f%%\n", n, len(deltas), threshold)
-		}
-		os.Exit(1)
+	s, err := f.Section(section)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	return s, nil
 }

@@ -9,8 +9,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/big"
+	"os"
 
 	"snic/internal/attest"
 	"snic/internal/device"
@@ -19,12 +21,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// Two independent hardware roots: the NIC vendor and the CPU vendor.
 	nicVendor, err := attest.NewVendor("Acme Silicon", nil)
 	if err != nil {
@@ -53,14 +55,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("S-NIC middlebox launched, id", rep.ID)
+	fmt.Fprintln(w, "S-NIC middlebox launched, id", rep.ID)
 
 	// The host runs the tenant's database shard inside an enclave.
 	db, err := enclave.New(cpuVendor, "db-shard-0", []byte("db-shard binary"))
 	if err != nil {
 		return err
 	}
-	fmt.Println("host enclave created:", db.Name)
+	fmt.Fprintln(w, "host enclave created:", db.Name)
 
 	// Pairwise attestation (§4.7): each side verifies the other's quote
 	// against the expected measurement and its vendor's root, then both
@@ -76,7 +78,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("mutual attestation complete; encrypted channel established")
+	fmt.Fprintln(w, "mutual attestation complete; encrypted channel established")
 
 	// Traffic flows through the untrusted fabric: the middlebox forwards
 	// scan results to the database over the channel.
@@ -86,7 +88,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("enclave received middlebox report: %s\n", got)
+	fmt.Fprintf(w, "enclave received middlebox report: %s\n", got)
 
 	// The datacenter operator snoops the bus and flips a byte in transit.
 	wire2 := chNF.Seal([]byte(`{"flow":"10.0.0.2:443","verdict":"clean"}`))
@@ -94,7 +96,7 @@ func run() error {
 	if _, err := chDB.Open(wire2); err == nil {
 		return fmt.Errorf("tampered datagram accepted")
 	}
-	fmt.Println("operator tampering detected and rejected (AEAD auth failure)")
+	fmt.Fprintln(w, "operator tampering detected and rejected (AEAD auth failure)")
 
 	// A counterfeit "middlebox" on unendorsed hardware cannot join the
 	// constellation.
@@ -113,6 +115,6 @@ func run() error {
 	if err == nil {
 		return fmt.Errorf("rogue hardware joined the constellation")
 	}
-	fmt.Println("counterfeit middlebox rejected:", err)
+	fmt.Fprintln(w, "counterfeit middlebox rejected:", err)
 	return nil
 }

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"snic/internal/attest"
 	"snic/internal/device"
@@ -21,12 +23,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// 1. Build the device through the registry; the factory endorses the
 	// S-NIC under a vendor attestation root at "manufacturing time". The
 	// quickstart needs the full §4 API (VPPs, launch reports), so it
@@ -38,7 +40,7 @@ func run() error {
 	adapter := n.(*device.SNIC)
 	dev, vendor := adapter.Underlying(), adapter.Vendor()
 	osd := nicos.New(dev)
-	fmt.Println("S-NIC up:", dev.Cores(), "programmable cores,",
+	fmt.Fprintln(w, "S-NIC up:", dev.Cores(), "programmable cores,",
 		adapter.MemBytes()>>20, "MB DRAM")
 
 	// 2. The tenant's firewall policy: drop cleartext HTTP, allow HTTPS
@@ -65,7 +67,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("nf_launch: id=%d  TLB %.4fms + denylist %.4fms + SHA %.2fms = %.2fms\n",
+	fmt.Fprintf(w, "nf_launch: id=%d  TLB %.4fms + denylist %.4fms + SHA %.2fms = %.2fms\n",
 		id, rep.TLBSetupMS, rep.DenylistMS, rep.DigestMS, rep.TotalMS())
 
 	// 4. Remote attestation: a client verifies the function before
@@ -78,7 +80,7 @@ func run() error {
 	if err := attest.Verify(vendor.PublicKey(), quote, dev.NF(id).Hash, nonce); err != nil {
 		return fmt.Errorf("attestation failed: %w", err)
 	}
-	fmt.Printf("nf_attest: verified against vendor root in %.2fms (simulated)\n", attestMS)
+	fmt.Fprintf(w, "nf_attest: verified against vendor root in %.2fms (simulated)\n", attestMS)
 
 	// 5. Traffic: packets arrive on the wire, the switch steers matching
 	// ones into the NF's private ring, the NF reads them through its own
@@ -120,16 +122,16 @@ func run() error {
 			}
 		}
 	}
-	fmt.Printf("traffic: %d delivered to NF (%d passed, %d dropped), %d unmatched\n",
+	fmt.Fprintf(w, "traffic: %d delivered to NF (%d passed, %d dropped), %d unmatched\n",
 		inPkts, passed, dropped, ignored)
-	fmt.Printf("firewall cache: %d flows cached, %d hits\n", fw.CacheLen(), fw.Hits)
+	fmt.Fprintf(w, "firewall cache: %d flows cached, %d hits\n", fw.CacheLen(), fw.Hits)
 
 	// 6. NF_destroy scrubs memory, caches, and registers.
 	tr, err := osd.NFDestroy(id)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("nf_teardown: allowlist %.4fms + scrub %.2fms\n", tr.AllowlistMS, tr.ScrubMS)
-	fmt.Println("done: all resources scrubbed and returned")
+	fmt.Fprintf(w, "nf_teardown: allowlist %.4fms + scrub %.2fms\n", tr.AllowlistMS, tr.ScrubMS)
+	fmt.Fprintln(w, "done: all resources scrubbed and returned")
 	return nil
 }

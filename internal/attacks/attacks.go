@@ -23,9 +23,9 @@
 //   - flow-watermarking: bus-pressure modulation marks a co-resident
 //     flow's timing — blocked by temporal bus partitioning.
 //
-// Every attack returns a Result, so tests, the attack-matrix experiment
-// and cmd/snicattack can all assert "succeeds on a commodity baseline,
-// blocked on S-NIC" from the same code path.
+// Every attack returns a Result, so the tests and the attack-matrix
+// experiment (snicbench -experiment attacks) both assert "succeeds on a
+// commodity baseline, blocked on S-NIC" from the same code path.
 package attacks
 
 import (
@@ -48,14 +48,6 @@ type Result struct {
 	Target    string
 	Succeeded bool
 	Detail    string
-}
-
-func (r Result) String() string {
-	verdict := "BLOCKED"
-	if r.Succeeded {
-		verdict = "SUCCEEDED"
-	}
-	return fmt.Sprintf("%-22s vs %-13s %s  (%s)", r.Name, r.Target, verdict, r.Detail)
 }
 
 // Attack is one entry of the suite. Exploits is the defense capability

@@ -122,13 +122,6 @@ func TestPrimeProbeBlindOnStaticPartition(t *testing.T) {
 	}
 }
 
-func TestResultString(t *testing.T) {
-	r := Result{Name: "x", Target: "y", Succeeded: true, Detail: "d"}
-	if r.String() == "" || (Result{}).String() == "" {
-		t.Fatal("empty render")
-	}
-}
-
 func TestControlledChannelLeaksOnPagedBaseline(t *testing.T) {
 	if acc := ControlledChannel(false, []byte("page fault oracle")); acc != 1.0 {
 		t.Fatalf("baseline recovery = %v, want 1.0", acc)

@@ -63,7 +63,8 @@ func sortedStrings(s []string) bool {
 }
 
 // TestConformanceLifecycle: every model launches up to core exhaustion,
-// tears down, and relaunches on the freed core.
+// tears down, and relaunches on the freed core, where the new function
+// reads none of its predecessor's state.
 func TestConformanceLifecycle(t *testing.T) {
 	for _, model := range Models() {
 		t.Run(model, func(t *testing.T) {
@@ -75,8 +76,12 @@ func TestConformanceLifecycle(t *testing.T) {
 				t.Fatalf("fresh device: cores=%d free=%d live=%d",
 					dev.Cores(), dev.FreeCores(), dev.Live())
 			}
-			a, err := dev.Launch(FuncSpec{Name: "a", MemBytes: 256 << 10})
+			a, err := dev.Launch(FuncSpec{Name: "a", MemBytes: 256 << 10, CoreMask: 0b01})
 			if err != nil {
+				t.Fatal(err)
+			}
+			secret := []byte("tenant-A NAT translation table")
+			if err := dev.Write(a, 8192, secret); err != nil {
 				t.Fatal(err)
 			}
 			b, err := dev.Launch(FuncSpec{Name: "b", MemBytes: 256 << 10})
@@ -101,8 +106,16 @@ func TestConformanceLifecycle(t *testing.T) {
 			if dev.FreeCores() != 1 || dev.Live() != 1 {
 				t.Fatalf("after teardown: free=%d live=%d", dev.FreeCores(), dev.Live())
 			}
-			if _, err := dev.Launch(FuncSpec{Name: "c", MemBytes: 256 << 10}); err != nil {
+			c, err := dev.Launch(FuncSpec{Name: "c", MemBytes: 256 << 10, CoreMask: 0b01})
+			if err != nil {
 				t.Fatalf("relaunch on freed core: %v", err)
+			}
+			probe := make([]byte, len(secret))
+			if err := dev.Read(c, 8192, probe); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(probe, secret) {
+				t.Fatal("relaunched function read its predecessor's secret")
 			}
 		})
 	}
@@ -195,7 +208,8 @@ func TestConformanceIsolation(t *testing.T) {
 }
 
 // TestConformanceSteering: frames steer by the launch rules and round-
-// trip unmodified through every model's RX path.
+// trip unmodified through every model's RX path, and co-tenants never
+// see each other's frames.
 func TestConformanceSteering(t *testing.T) {
 	for _, model := range Models() {
 		t.Run(model, func(t *testing.T) {
@@ -229,6 +243,83 @@ func TestConformanceSteering(t *testing.T) {
 				t.Fatalf("retrieve from empty queue: %v", err)
 			}
 		})
+	}
+
+	// Co-tenants on one device each receive exactly their own flows,
+	// keyed by port or by VXLAN network identifier (§4.4), and a frame no
+	// rule matches reaches nobody. The VNI tenants use the same inner
+	// 5-tuple, as overlapping private address spaces do.
+	inner := pkt.FiveTuple{SrcIP: 0x0A000001, DstIP: 0x0A000002, SrcPort: 1234, DstPort: 80, Proto: pkt.ProtoTCP}
+	byPort := func(port uint16) pktio.MatchSpec {
+		return pktio.MatchSpec{Proto: pkt.ProtoTCP, DstPortLo: port, DstPortHi: port}
+	}
+	withPort := func(port uint16) pkt.FiveTuple {
+		tuple := inner
+		tuple.DstPort = port
+		return tuple
+	}
+	for _, tc := range []struct {
+		name   string
+		rules  [2]pktio.MatchSpec
+		frames [3]pkt.Packet // tenant 0's, tenant 1's, and a stray
+	}{
+		{"port", [2]pktio.MatchSpec{byPort(8080), byPort(8081)}, [3]pkt.Packet{
+			{Tuple: withPort(8080), Payload: []byte("tenant-A private payload")},
+			{Tuple: withPort(8081), Payload: []byte("tenant-B private payload")},
+			{Tuple: withPort(8083), Payload: []byte("stray")},
+		}},
+		{"vni", [2]pktio.MatchSpec{{VNI: 1001}, {VNI: 2002}}, [3]pkt.Packet{
+			{Tuple: inner, Payload: []byte("green secret"), VNI: 1001},
+			{Tuple: inner, Payload: []byte("blue secret"), VNI: 2002},
+			{Tuple: inner, Payload: []byte("stray tenant"), VNI: 3003},
+		}},
+	} {
+		for _, model := range Models() {
+			t.Run(tc.name+"/"+model, func(t *testing.T) {
+				dev := build(t, model)
+				var ids [2]FuncID
+				for i, rule := range tc.rules {
+					id, err := dev.Launch(FuncSpec{
+						Name: fmt.Sprintf("tenant-%d", i), MemBytes: 256 << 10,
+						Rules: []pktio.MatchSpec{rule},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids[i] = id
+				}
+				for i, p := range tc.frames {
+					want := FuncID(0)
+					if i < len(ids) {
+						want = ids[i]
+					}
+					owner, err := dev.Inject(p.Marshal())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if owner != want {
+						t.Fatalf("frame %d (%q) steered to %d, want %d", i, p.Payload, owner, want)
+					}
+				}
+				for i, id := range ids {
+					raw, err := dev.Retrieve(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := pkt.Parse(raw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := tc.frames[i]; string(got.Payload) != string(want.Payload) || got.VNI != want.VNI {
+						t.Errorf("tenant %d decapsulated VNI %d payload %q, want VNI %d %q",
+							i, got.VNI, got.Payload, want.VNI, want.Payload)
+					}
+					if _, err := dev.Retrieve(id); !errors.Is(err, ErrNoFrame) {
+						t.Errorf("tenant %d holds a frame it does not own: %v", i, err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -16,9 +16,9 @@ func init() {
 
 // SNIC adapts the paper's device (internal/snic) to the device.NIC
 // interface. It is exported (unlike the commodity adapters) because the
-// richer examples and Figure 6 need the underlying *snic.Device — VPP
-// access, SendLocal, launch reports — after building it through the
-// registry.
+// quickstart and constellation examples and Figure 6 need the underlying
+// *snic.Device — VPP access, attestation, launch reports — after
+// building it through the registry.
 type SNIC struct {
 	dev    *snic.Device
 	vendor *attest.Vendor

@@ -56,6 +56,18 @@ func TestPairEstablishesChannel(t *testing.T) {
 	if !bytes.Equal(pt, msg) {
 		t.Fatal("channel mismatch")
 	}
+	// A second pairing of the same parties (fresh nonces) gets its own
+	// key: one tunnel cannot open another's traffic (Figure 4a detour).
+	_, other, err := Pair(
+		e, intel, e.Measurement(),
+		n, nicVendor, n.Measurement(),
+		[]byte("nonce-c"), []byte("nonce-d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Open(ca.Seal(msg)); err == nil {
+		t.Fatal("a second tunnel opened the first tunnel's datagram")
+	}
 }
 
 func TestPairRejectsWrongMeasurement(t *testing.T) {

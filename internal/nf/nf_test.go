@@ -99,6 +99,15 @@ func TestFirewallDropsMatchingRule(t *testing.T) {
 	if v := fw.Process(&p); v != Drop {
 		t.Fatalf("verdict = %v", v)
 	}
+	// A port rule drops only its port: telnet is blocked, HTTPS passes.
+	telnet := trace.FirewallRule{SrcPortHi: 65535, DstPortLo: 23, DstPortHi: 23, Proto: pkt.ProtoTCP, Drop: true}
+	fw = NewFirewall([]trace.FirewallRule{telnet})
+	for port, want := range map[uint16]Verdict{23: Drop, 443: Pass} {
+		p := mkPacket(pkt.FiveTuple{SrcPort: 40000, DstPort: port, Proto: pkt.ProtoTCP}, "x")
+		if v := fw.Process(&p); v != want {
+			t.Errorf("port %d: verdict = %v, want %v", port, v, want)
+		}
+	}
 }
 
 func TestFirewallCacheLimit(t *testing.T) {

@@ -428,6 +428,35 @@ func TestSendLocalChainsFunctions(t *testing.T) {
 	if string(got.Payload) != "chained hop" {
 		t.Fatalf("payload = %q", got.Payload)
 	}
+	// A middle stage forwards the frame straight from its ring to a third
+	// NF, which sends it out on the wire unmodified (§4.8 chains).
+	specC := basicSpec()
+	specC.CoreMask = 0b110000
+	specC.Rules = nil
+	c, err := d.Launch(specC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SendLocal(b.ID, c.ID, desc.VA, desc.Len); err != nil {
+		t.Fatal(err)
+	}
+	last, ok := d.NF(c.ID).VPP.Pop()
+	if !ok {
+		t.Fatal("no descriptor at the last stage")
+	}
+	var wire []byte
+	if err := d.Switch().Transmit(c.ID, last.VA, last.Len, func(f []byte) { wire = f }); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wire, frame) {
+		t.Fatal("frame changed along the chain")
+	}
+	// Exchanging frames opens no other path: a stage still faults past
+	// the end of its own mapping.
+	var probe [8]byte
+	if err := d.NFRead(b.ID, tlb.VAddr(d.NF(b.ID).TLB.TotalMapped()+4096), probe[:]); err == nil {
+		t.Fatal("chain stage read past its own mapping")
+	}
 	// The sender cannot source a message from memory it does not map.
 	span := d.NF(a.ID).TLB.TotalMapped()
 	if err := d.SendLocal(a.ID, b.ID, tlb.VAddr(span), 64); err == nil {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -47,6 +48,64 @@ func TestNoBackgroundedProcesses(t *testing.T) {
 		for i, line := range strings.Split(string(buf), "\n") {
 			if background.MatchString(line) {
 				t.Errorf("%s:%d puts a process in the background: %s", path, i+1, strings.TrimSpace(line))
+			}
+		}
+	}
+}
+
+// TestEveryBinaryHasATest keeps every command and example a tested
+// run() seam: a main package under cmd/ or examples/ without a _test.go
+// file protects no result, and either gets a test or goes.
+func TestEveryBinaryHasATest(t *testing.T) {
+	var dirs []string
+	for _, parent := range []string{"cmd", "examples"} {
+		entries, err := os.ReadDir(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				dirs = append(dirs, filepath.Join(parent, e.Name()))
+			}
+		}
+	}
+	if len(dirs) == 0 {
+		t.Fatal("found no cmd/ or examples/ packages")
+	}
+	for _, dir := range dirs {
+		tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tests) == 0 {
+			t.Errorf("%s has no _test.go: drive its run() from a test, or delete it", dir)
+		}
+	}
+}
+
+// binaryPath matches a cmd/<x> or examples/<x> path written in prose or
+// a command line, not one nested inside a longer path.
+var binaryPath = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:cmd|examples)/[\w-]+)`)
+
+// TestDocumentedBinariesExist fails when a document names a command or
+// example that is not in the tree, so deleting or renaming one has to
+// update the docs in the same change.
+func TestDocumentedBinariesExist(t *testing.T) {
+	for _, path := range []string{
+		"README.md",
+		"DESIGN.md",
+		"EXPERIMENTS.md",
+		".claude/skills/verify/SKILL.md",
+	} {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(buf), "\n") {
+			for _, m := range binaryPath.FindAllStringSubmatch(line, -1) {
+				if info, err := os.Stat(m[1]); err != nil || !info.IsDir() {
+					t.Errorf("%s:%d names %s, which is not a directory", path, i+1, m[1])
+				}
 			}
 		}
 	}
