@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"snic/internal/perf"
 )
@@ -111,7 +112,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if n := perf.Regressions(deltas, *threshold); n > 0 {
 		if *format != "json" {
-			fmt.Fprintf(stdout, "%d of %d benchmarks regressed beyond %.0f%%\n", n, len(deltas), *threshold)
+			fmt.Fprintf(stdout, "%d of %d benchmarks regressed beyond %s%%\n", n, len(deltas), strconv.FormatFloat(*threshold, 'g', -1, 64))
 		}
 		return 1
 	}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"snic/internal/bus"
@@ -62,19 +63,28 @@ type Fig5Row struct {
 }
 
 // colocation simulates one group of NFs co-located on one NIC and
-// returns each NF's IPC on commodity hardware (shared L2, FIFO bus) and
+// returns the NFs' IPCs on commodity hardware (shared L2, FIFO bus) and
 // on dev's own L2 policy and bus arbiter, with the same cache size and
-// co-tenancy — exactly the §5.3 comparison when dev is S-NIC. With a
-// collector attached, the L2 and the bus tracker report per-domain
-// counters under "<scope>/base" and "<scope>/dev"; the sides are not
-// named after their policies because a commodity dev is itself
+// co-tenancy — exactly the §5.3 comparison when dev is S-NIC. Both
+// slices lead with names[0], the target; devIPC may hold the target
+// alone. With a collector attached, the L2 and the bus tracker report
+// per-domain counters under "<scope>/base" and "<scope>/dev"; the sides
+// are not named after their policies because a commodity dev is itself
 // "shared".
 func (r *Runner) colocation(cfg Fig5Config, scope string, names []string, l2Size uint64, dev device.NIC) (base, devIPC []float64, err error) {
-	base, err = r.runGroup(cfg, scope+"/base", names, l2Size, cache.Shared, bus.NewFIFO())
+	base, err = r.runGroup(cfg, scope+"/base", names, len(names), l2Size, cache.Shared, bus.NewFIFO())
 	if err != nil {
 		return nil, nil, err
 	}
-	devIPC, err = r.runGroup(cfg, scope+"/dev", names, l2Size,
+	// On a device whose L2 ways and bus epochs are private per domain
+	// (§4.5), the target's timing is a function of its own history, so
+	// only the target core is simulated, unless a collector wants every
+	// domain's series.
+	run := names
+	if r.obsReg() == nil && dev.Caps().Has(device.PartitionedCache|device.ArbitratedBus) {
+		run = names[:1]
+	}
+	devIPC, err = r.runGroup(cfg, scope+"/dev", run, len(names), l2Size,
 		dev.CachePolicy(), dev.NewBusArbiter(len(names)))
 	if err != nil {
 		return nil, nil, err
@@ -87,20 +97,21 @@ func (r *Runner) colocation(cfg Fig5Config, scope string, names []string, l2Size
 // given — no defaults are filled in — so Suite, PoolFlows and Seed must
 // be set, and zero windows measure nothing (every IPC reads 0).
 func CoTenancyIPC(cfg Fig5Config, names []string, l2Size uint64, dev device.NIC) ([]float64, error) {
-	return simulateGroup(cfg, nil, "", names, l2Size, dev.CachePolicy(), dev.NewBusArbiter(len(names)))
+	return simulateGroup(cfg, nil, "", names, len(names), l2Size, dev.CachePolicy(), dev.NewBusArbiter(len(names)))
 }
 
 // groupKey identifies one co-tenancy group run. simulateGroup's result
-// is a pure function of these inputs: the group's order matters (domain
-// i runs names[i] with seed cfg.Seed+i+1), and arb is the fresh
-// arbiter's Config, so disciplines that differ in any parameter never
-// share an entry.
+// is a pure function of these inputs: the simulated prefix's order
+// matters (domain i runs names[i] on its own traffic), domains sizes the
+// L2 partition and the arbiter, and arb is the fresh arbiter's Config,
+// so disciplines that differ in any parameter never share an entry.
 type groupKey struct {
-	cfg    Fig5Config
-	names  string // the ordered group, comma-joined
-	l2Size uint64
-	policy cache.Policy
-	arb    string
+	cfg     Fig5Config
+	names   string // the simulated prefix, comma-joined
+	domains int
+	l2Size  uint64
+	policy  cache.Policy
+	arb     string
 }
 
 type groupResult struct {
@@ -108,55 +119,58 @@ type groupResult struct {
 	err  error
 }
 
-// runGroup returns each NF's measured IPC for one co-located group,
-// simulating each distinct group once per Runner: fig5b's 2-NF column
-// and fig5dev reuse fig5a's 4MB groups, and a commodity model's dev side
-// (Shared L2, FIFO bus) reuses its baseline side. With a collector
-// attached every call simulates, so each scope still emits its series.
-// arb must be freshly built; it is consumed by the simulation.
-func (r *Runner) runGroup(cfg Fig5Config, scope string, names []string, l2Size uint64,
+// runGroup returns the measured IPC of each NF in names, the leading
+// domains of a group of the given size, simulating each distinct run
+// once per Runner: fig5b's 2-NF column and fig5dev reuse fig5a's 4MB
+// groups, a commodity model's dev side (Shared L2, FIFO bus) reuses its
+// baseline side, and every S-NIC group of one (target, size, L2 size)
+// shares one solo run. With a collector attached every call simulates,
+// so each scope still emits its series. arb must be freshly built; it is
+// consumed by the simulation.
+func (r *Runner) runGroup(cfg Fig5Config, scope string, names []string, domains int, l2Size uint64,
 	policy cache.Policy, arb bus.Arbiter) ([]float64, error) {
 	if r == nil || r.Obs != nil {
-		return simulateGroup(cfg, r.obsReg(), scope, names, l2Size, policy, arb)
+		return simulateGroup(cfg, r.obsReg(), scope, names, domains, l2Size, policy, arb)
 	}
-	key := groupKey{cfg: cfg, names: strings.Join(names, ","), l2Size: l2Size, policy: policy, arb: arb.Config()}
+	key := groupKey{cfg: cfg, names: strings.Join(names, ","), domains: domains,
+		l2Size: l2Size, policy: policy, arb: arb.Config()}
 	res := r.groups.Get(key, func() groupResult {
-		ipcs, err := simulateGroup(cfg, nil, "", names, l2Size, policy, arb)
+		ipcs, err := simulateGroup(cfg, nil, "", names, domains, l2Size, policy, arb)
 		return groupResult{ipcs: ipcs, err: err}
 	})
 	return res.ipcs, res.err
 }
 
-// simulateGroup is the one co-tenancy simulator: it runs one co-located
-// NF group under one cache policy and bus arbiter, returning each NF's
-// measured IPC. scope labels the metrics when a collector is attached.
-// NF models and the workload pool come from the process-wide memo
-// caches (see memo.go); every run still gets private L1s, a private L2,
-// fresh per-stream RNGs, and a fresh pool instantiation, so runs never
-// share mutable state.
-func simulateGroup(cfg Fig5Config, reg *obs.Registry, scope string, names []string, l2Size uint64,
+// simulateGroup is the one co-tenancy simulator: it builds one NIC's L2
+// and bus for the given number of domains under one cache policy and
+// bus arbiter, runs the NFs in names on the leading domains' cores, and
+// returns each one's measured IPC. scope labels the metrics when a
+// collector is attached. NF models and the workload template come from
+// the process-wide memo caches (see memo.go); every run still gets
+// private L1s, a private L2, fresh per-stream RNGs, and one fresh pool
+// per domain, so runs never share mutable state.
+func simulateGroup(cfg Fig5Config, reg *obs.Registry, scope string, names []string, domains int, l2Size uint64,
 	policy cache.Policy, arb bus.Arbiter) ([]float64, error) {
-	n := len(names)
 	l2cfg := cache.Config{
 		Name: "L2", Size: l2Size, LineSize: 64, Ways: 16,
-		Policy: policy, Domains: n,
+		Policy: policy, Domains: domains,
 	}
-	if policy == cache.Static && l2cfg.Ways < n {
-		l2cfg.Ways = n // keep at least one way per domain at high co-tenancy
+	if policy == cache.Static && l2cfg.Ways < domains {
+		l2cfg.Ways = domains // keep at least one way per domain at high co-tenancy
 	}
 	l2, err := cache.New(l2cfg)
 	if err != nil {
 		return nil, err
 	}
-	tr := bus.NewTracker(arb, n)
+	tr := bus.NewTracker(arb, domains)
 	if reg != nil {
 		l2.Observe(reg, scope)
 		tr.Observe(reg, scope)
 	}
 	lat := cpu.DefaultLatencies()
-	pool := ictfPool(cfg.Seed, cfg.PoolFlows)
-	cores := make([]*cpu.Core, n)
-	streams := make([]cpu.Stream, n)
+	tpl := ictfTemplate(cfg.Seed, cfg.PoolFlows)
+	cores := make([]*cpu.Core, len(names))
+	streams := make([]cpu.Stream, len(names))
 	for i, name := range names {
 		f, err := suiteNF(name, cfg.Suite)
 		if err != nil {
@@ -170,6 +184,10 @@ func simulateGroup(cfg Fig5Config, reg *obs.Registry, scope string, names []stri
 			return nil, err
 		}
 		cores[i] = &cpu.Core{Domain: i, L1: l1, L2: l2, Bus: tr, Lat: lat}
+		// Each domain draws its own traffic over the shared flow set, so
+		// what domain i sees never depends on when its partners draw.
+		d := strconv.Itoa(i)
+		pool := tpl.SeededPool(sim.DeriveSeed(cfg.Seed, "fig5", d, "zipf"), sim.DeriveSeed(cfg.Seed, "fig5", d, "payload"))
 		streams[i] = f.NewStream(sim.NewRand(cfg.Seed+uint64(i)+1), pool, mem.Addr(i+1)<<32)
 	}
 	r := &cpu.Runner{Cores: cores, Streams: streams}
@@ -177,8 +195,12 @@ func simulateGroup(cfg Fig5Config, reg *obs.Registry, scope string, names []stri
 	for _, c := range cores {
 		c.ResetCounters()
 	}
+	// The cores' clocks restart at 0, so the bus must too: an arbiter
+	// still holding the warm-up's end time would stall the first
+	// measured request for the whole warm-up.
+	tr.Reset()
 	r.RunInstr(cfg.MeasureInstr)
-	ipcs := make([]float64, n)
+	ipcs := make([]float64, len(cores))
 	for i, c := range cores {
 		ipcs[i] = c.IPC()
 	}

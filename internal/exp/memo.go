@@ -46,20 +46,18 @@ type poolKey struct {
 
 var ictfMemo memo.Cache[poolKey, *trace.PoolTemplate]
 
-// ictfPool returns a fresh ICTF pool for (seed, flows), building the
-// expensive immutable template (flow set + Zipf CDF) once per key. The
-// derivation matches the pre-memoization code exactly:
+// ictfTemplate returns the ICTF pool template for (seed, flows), built
+// once per key as
 //
-//	rng := sim.NewRand(seed); pool := trace.NewICTF(rng.Fork(), flows)
+//	rng := sim.NewRand(seed); trace.NewICTFTemplate(rng.Fork(), flows)
 //
-// so every instantiation starts from the same sampler and payload seeds
-// that code produced.
-func ictfPool(seed uint64, flows int) *trace.Pool {
-	t := ictfMemo.Get(poolKey{seed: seed, flows: flows}, func() *trace.PoolTemplate {
+// Figure 5 instantiates one pool per co-located domain from it (see
+// simulateGroup), each with its own seeds.
+func ictfTemplate(seed uint64, flows int) *trace.PoolTemplate {
+	return ictfMemo.Get(poolKey{seed: seed, flows: flows}, func() *trace.PoolTemplate {
 		rng := sim.NewRand(seed)
 		return trace.NewICTFTemplate(rng.Fork(), flows)
 	})
-	return t.Pool()
 }
 
 // ictfForkMemo caches templates keyed by an already-forked seed — the

@@ -90,18 +90,19 @@ func TestFig5MemoMatchesFreshRunners(t *testing.T) {
 	}
 }
 
-// TestFig5MemoSharesFourMBGroups pins what the memo reuses: fig5b's
-// "2 NFs" column and fig5dev's snic rows are fig5a's 4MB groups, so
-// after fig5a they add no entry and print fig5a's 4MB rows.
+// TestFig5MemoSharesFourMBGroups pins what the memo reuses: fig5a at
+// 4MB leaves each ordered pair's baseline group plus one S-NIC solo run
+// per target, and fig5b's "2 NFs" column and fig5dev's snic rows add no
+// entry and print fig5a's 4MB rows.
 func TestFig5MemoSharesFourMBGroups(t *testing.T) {
 	r := &Runner{}
 	a, err := r.Figure5a(smallFig5(), []uint64{4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := len(nf.Names) * len(nf.Names)
-	if n := r.groups.Len(); n != 2*pairs {
-		t.Fatalf("fig5a at 4MB left %d entries, want %d (each ordered pair, base and snic)", n, 2*pairs)
+	want := len(nf.Names)*len(nf.Names) + len(nf.Names)
+	if n := r.groups.Len(); n != want {
+		t.Fatalf("fig5a at 4MB left %d entries, want %d (each ordered pair's base group, one snic solo run per NF)", n, want)
 	}
 	b, err := r.Figure5b(smallFig5(), []int{2})
 	if err != nil {
@@ -111,8 +112,8 @@ func TestFig5MemoSharesFourMBGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := r.groups.Len(); n != 2*pairs {
-		t.Errorf("fig5b's 2-NF column and fig5dev added %d entries to fig5a's", n-2*pairs)
+	if n := r.groups.Len(); n != want {
+		t.Errorf("fig5b's 2-NF column and fig5dev added %d entries to fig5a's", n-want)
 	}
 	var snic []Fig5DevRow
 	for _, row := range dev {
@@ -136,14 +137,15 @@ func TestFig5MemoSharesFourMBGroups(t *testing.T) {
 
 // TestFig5DevDistinctGroups: fig5dev runs 5 models x 6 targets x 6
 // partners x 2 sides = 360 groups, but every commodity model's dev side
-// (Shared L2, FIFO bus) is its baseline side, so a fresh Runner ends
-// with the 36 ordered pairs on a baseline and an S-NIC side.
+// (Shared L2, FIFO bus) is its baseline side, and S-NIC's dev side is
+// one solo run per target, so a fresh Runner ends with the 36 ordered
+// pairs' baseline groups and 6 solo runs.
 func TestFig5DevDistinctGroups(t *testing.T) {
 	r := &Runner{}
 	if _, err := r.Figure5Devices(smallFig5()); err != nil {
 		t.Fatal(err)
 	}
-	if n, want := r.groups.Len(), 2*len(nf.Names)*len(nf.Names); n != want {
+	if n, want := r.groups.Len(), len(nf.Names)*len(nf.Names)+len(nf.Names); n != want {
 		t.Errorf("fig5dev left %d entries, want %d", n, want)
 	}
 }
@@ -181,7 +183,7 @@ func TestGroupKeyIncludesArbiterParams(t *testing.T) {
 	r := &Runner{}
 	group := []string{"FW", "LB"}
 	for _, epoch := range []uint64{60, 120, 60} {
-		if _, err := r.runGroup(cfg, "", group, 64<<10, cache.Static, bus.NewTemporal(2, epoch, 10)); err != nil {
+		if _, err := r.runGroup(cfg, "", group, len(group), 64<<10, cache.Static, bus.NewTemporal(2, epoch, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,5 +215,17 @@ func TestObservedRunnerSimulatesEveryGroup(t *testing.T) {
 	}
 	if n := r.groups.Len(); n != 0 {
 		t.Errorf("observed Runner memoized %d groups", n)
+	}
+}
+
+// TestObservedRunnerMatchesRows: a collector makes the S-NIC side run
+// every co-tenant instead of the target alone, and that must not move a
+// Figure 5 row.
+func TestObservedRunnerMatchesRows(t *testing.T) {
+	a1, b1, d1 := fig5Suite(t, func() *Runner { return &Runner{} })
+	a2, b2, d2 := fig5Suite(t, func() *Runner { return &Runner{Obs: obs.NewRegistry()} })
+	if !reflect.DeepEqual(a1, a2) || !reflect.DeepEqual(b1, b2) || !reflect.DeepEqual(d1, d2) {
+		t.Errorf("Figure 5 rows differ with a collector attached:\nfig5a %v\n  vs %v\nfig5b %v\n  vs %v\nfig5dev %v\n  vs %v",
+			a1, a2, b1, b2, d1, d2)
 	}
 }

@@ -101,10 +101,10 @@ func (s *pktStream) Next() (cpu.Op, bool) {
 }
 
 // NextBatch implements cpu.BatchStream. It hands out at most the rest
-// of the current packet: the workload pool is shared between co-located
-// streams, so drawing the next packet's flow any earlier than Next would
-// (i.e. before the current packet is consumed) would reorder the pool's
-// RNG draws across cores and change the simulation. One packet per call
+// of the current packet: a caller may share one workload pool between
+// co-located streams, so drawing the next packet's flow any earlier than
+// Next would (i.e. before the current packet is consumed) would reorder
+// the pool's RNG draws across cores and change the simulation. One packet per call
 // still amortizes the per-op interface call across the packet's ops.
 func (s *pktStream) NextBatch(buf []cpu.Op) int {
 	if s.qi >= len(s.queue) {

@@ -279,3 +279,54 @@ func TestDeriveRandIndependentOfCallOrder(t *testing.T) {
 		t.Fatalf("stream moved: %x != %x", got, first)
 	}
 }
+
+// fullSearch is the sampler's original lookup, kept as the oracle for
+// the guide-table search: a binary search over the whole CDF for the
+// first entry >= u.
+func fullSearch(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideMatchesFullSearch pins that the guide table changes no
+// draw: a million random u and every edge value in [0, 1) (0, each
+// exact CDF entry and its neighbours, each bucket boundary, the value
+// next to 1) map to the rank the full binary search finds, for several
+// sizes and skews.
+func TestZipfGuideMatchesFullSearch(t *testing.T) {
+	for _, tc := range []struct {
+		n int
+		s float64
+	}{{1, 1.1}, {2, 1.1}, {10, 0}, {257, 1.1}, {1000, 0.2}, {100000, 1.1}} {
+		z := NewZipf(NewRand(5), tc.n, tc.s)
+		check := func(u float64) {
+			if got, want := z.rank(u), fullSearch(z.cdf, u); got != want {
+				t.Fatalf("n=%d s=%v u=%v: guide search %d, full search %d", tc.n, tc.s, u, got, want)
+			}
+		}
+		edges := []float64{0, math.SmallestNonzeroFloat64, math.Nextafter(1, 0)}
+		for _, c := range z.cdf {
+			edges = append(edges, c, math.Nextafter(c, 0), math.Nextafter(c, 2))
+		}
+		for b := 0; b < len(z.guide); b++ {
+			edges = append(edges, float64(b)/float64(len(z.guide)-1))
+		}
+		for _, u := range edges {
+			if u < 1 {
+				check(u)
+			}
+		}
+		rng := NewRand(6)
+		for i := 0; i < 1_000_000; i++ {
+			check(rng.Float64())
+		}
+	}
+}

@@ -80,10 +80,18 @@ func (t *PoolTemplate) NumFlows() int { return len(t.flows) }
 // all instances are byte-identical to each other and to the Pool that
 // NewPool(rng, n, skew) would have built from the template's rng.
 func (t *PoolTemplate) Pool() *Pool {
+	return t.SeededPool(t.zipfSeed, t.rngSeed)
+}
+
+// SeededPool instantiates a Pool over the template's flow set and CDF
+// whose sampler and payload streams start from the given seeds instead
+// of the template's own, so several independent consumers can share one
+// template without sharing draws.
+func (t *PoolTemplate) SeededPool(zipfSeed, rngSeed uint64) *Pool {
 	return &Pool{
 		flows: t.flows,
-		zipf:  t.zipf.WithRand(sim.NewRand(t.zipfSeed)),
-		rng:   sim.NewRand(t.rngSeed),
+		zipf:  t.zipf.WithRand(sim.NewRand(zipfSeed)),
+		rng:   sim.NewRand(rngSeed),
 	}
 }
 
