@@ -57,13 +57,16 @@ fleet:
 		{ echo "internal/fleet coverage $$total% fell below the $(FLEET_COVER_FLOOR)% floor" >&2; exit 1; }
 
 # Go line counts the way ROADMAP reports them: files tracked by git,
-# outside bench/ and testdata/, split into production and test code.
-# Information only; nothing gates on it.
+# outside bench/ and testdata/, split into production and test code,
+# plus the number of functions no shipped program reaches (the
+# allowlist TestEveryFunctionIsReached keeps). Information only;
+# nothing gates on it.
 .PHONY: loc
 loc:
 	@files=$$(git ls-files '*.go' | grep -v -e '^bench/' -e testdata); \
 	echo "production: $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l) lines"; \
-	echo "test:       $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l) lines"
+	echo "test:       $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l) lines"; \
+	echo "unreached:  $$(wc -l < internal/lint/testdata/unreached.txt) functions"
 
 .PHONY: fmt
 fmt:

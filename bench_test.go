@@ -63,7 +63,7 @@ func BenchmarkTable4PipeTLBCosts(b *testing.B) {
 
 func BenchmarkTable5PageSizeSettings(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table5(); err != nil {
+		if _, err := new(exp.Runner).Table5(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func BenchmarkTable6And8NFProfiles(b *testing.B) {
 	var profiles []exp.NFProfile
 	for i := 0; i < b.N; i++ {
 		var err error
-		profiles, err = exp.ProfileNFs(nf.SuiteConfig{
+		profiles, err = new(exp.Runner).ProfileNFs(nf.SuiteConfig{
 			FirewallRules: 643, DPIPatterns: 2000, Routes: 16000, Backends: 64, Seed: 1,
 		}, 20000, 60000)
 		if err != nil {
@@ -92,7 +92,7 @@ func BenchmarkTable6And8NFProfiles(b *testing.B) {
 
 func BenchmarkTable7AcceleratorProfiles(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table7(0); err != nil {
+		if _, err := new(exp.Runner).Table7(0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func fig5Bench() exp.Fig5Config {
 func BenchmarkFigure5aCacheSweep(b *testing.B) {
 	var med float64
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure5a(fig5Bench(), []uint64{64 << 10, 4 << 20})
+		rows, err := new(exp.Runner).Figure5a(fig5Bench(), []uint64{64 << 10, 4 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkFigure5aCacheSweep(b *testing.B) {
 func BenchmarkFigure5bCotenancySweep(b *testing.B) {
 	var m4, m8 float64
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure5b(fig5Bench(), []int{4, 8})
+		rows, err := new(exp.Runner).Figure5b(fig5Bench(), []int{4, 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func BenchmarkFigure6InstructionLatency(b *testing.B) {
 	var rows []exp.Fig6Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = exp.Figure6()
+		rows, err = new(exp.Runner).Figure6()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func BenchmarkFigure6InstructionLatency(b *testing.B) {
 func BenchmarkFigure7MonitorTimeSeries(b *testing.B) {
 	var last float64
 	for i := 0; i < b.N; i++ {
-		series, err := exp.Figure7(20, 4000, 50)
+		series, err := new(exp.Runner).Figure7(20, 4000, 50)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +204,10 @@ func BenchmarkFigure7MonitorTimeSeries(b *testing.B) {
 func BenchmarkFigure8DPIThroughput(b *testing.B) {
 	var rows []exp.Fig8Row
 	for i := 0; i < b.N; i++ {
-		rows = exp.Figure8(3000)
+		var err error
+		if rows, err = new(exp.Runner).Figure8(3000); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, r := range rows {
 		if r.Threads == 48 && r.FrameBytes == 64 {
@@ -571,28 +574,13 @@ func BenchmarkReplayCAIDA(b *testing.B) {
 	var res exp.ReplayResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = exp.ReplayCAIDA(cfg)
+		res, err = new(exp.Runner).ReplayCAIDA(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(res.PeakMB, "peak-MB")
 	b.ReportMetric(float64(res.Packets)/float64(b.Elapsed().Nanoseconds())*float64(b.N)*1e3, "Mpps")
-}
-
-// BenchmarkPoolStreamDraw measures the steady-state per-packet cost of
-// the streaming generator (zipf flow pick + payload fill over a reused
-// buffer).
-func BenchmarkPoolStreamDraw(b *testing.B) {
-	tpl := trace.NewICTFTemplate(sim.NewRand(1), 20000)
-	st := tpl.Stream(512)
-	b.ReportAllocs()
-	b.SetBytes(512)
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := st.Next(); !ok {
-			b.Fatal("pool stream ended")
-		}
-	}
 }
 
 // BenchmarkCAIDAStreamDraw measures the per-packet cost of the CAIDA
@@ -659,8 +647,8 @@ func BenchmarkSniclintSelf(b *testing.B) {
 }
 
 // TestSteadyStateDrawAllocations pins the satellite claim behind the
-// streaming refactor: after warm-up, drawing a packet from any of the
-// three generators performs zero heap allocations. AllocsPerRun's
+// streaming refactor: after warm-up, drawing a packet from either
+// generator performs zero heap allocations. AllocsPerRun's
 // warm-up run absorbs the one-time buffer growth; any per-packet slice
 // regression fails here before it shows up as full-scale GC churn.
 func TestSteadyStateDrawAllocations(t *testing.T) {
@@ -669,12 +657,6 @@ func TestSteadyStateDrawAllocations(t *testing.T) {
 		pool.NextPacketBuf(512)
 	}); avg != 0 {
 		t.Errorf("Pool.NextPacketBuf: %.1f allocs/packet, want 0", avg)
-	}
-	st := trace.NewICTFTemplate(sim.NewRand(4), 5000).Stream(512)
-	if avg := testing.AllocsPerRun(200, func() {
-		st.Next()
-	}); avg != 0 {
-		t.Errorf("PoolStream.Next: %.1f allocs/packet, want 0", avg)
 	}
 	cs := trace.NewCAIDABudget(sim.NewRand(5), 1<<40, 3)
 	if avg := testing.AllocsPerRun(200, func() {

@@ -1,13 +1,10 @@
 package accel
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
-	"snic/internal/ac"
 	"snic/internal/mem"
-	"snic/internal/sim"
 	"snic/internal/tlb"
 )
 
@@ -105,128 +102,56 @@ func TestAllocAtomicUnwind(t *testing.T) {
 	}
 }
 
-func TestVDPIScansOwnMemoryOnly(t *testing.T) {
+// TestClusterTLBTranslatesOwnMemoryOnly is the accelerator half of the
+// isolation claim (Figure 3b): a bound cluster reaches memory only
+// through its locked TLB bank, which translates the owner's VAs and
+// faults (a fatal miss) on anything else, so NF A cannot point its
+// cluster at NF B. After release the bank translates nothing.
+func TestClusterTLBTranslatesOwnMemoryOnly(t *testing.T) {
 	pm, a := setup(t)
-	// NF A's memory holds a payload containing a signature.
 	rA, entA := mapRegion(t, pm, mem.FirstNF, page)
-	payload := []byte("____EVIL_SIGNATURE____")
-	if err := pm.Write(rA.Start, payload); err != nil {
-		t.Fatal(err)
-	}
 	csA, err := a.Alloc(mem.FirstNF, 1, entA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, _ := ac.Compile([][]byte{[]byte("EVIL_SIGNATURE")})
-	v, err := NewVDPI(csA[0], auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := v.ScanBuffer(pm, 0, len(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 1 {
-		t.Fatalf("matches = %+v", ms)
-	}
-	// The cluster's VA space only covers NF A's page: anything beyond
-	// faults (fatal TLB miss), so NF A cannot point its vDPI at NF B.
-	if _, err := v.ScanBuffer(pm, tlb.VAddr(2*page), 16); !errors.Is(err, tlb.ErrMiss) {
-		t.Fatalf("cross-NF scan: %v", err)
-	}
-}
-
-func TestVDPIWrongKind(t *testing.T) {
-	zip, _ := New(ZIP, 16, 16)
-	if _, err := NewVDPI(zip.clusters[0], nil); err == nil {
-		t.Fatal("ZIP cluster accepted as vDPI")
-	}
-}
-
-func TestVZIPRoundTripThroughDRAM(t *testing.T) {
-	pm, _ := setup(t)
-	z, err := New(ZIP, 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, entries := mapRegion(t, pm, mem.FirstNF, 4*page)
-	cs, err := z.Alloc(mem.FirstNF, 1, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vz, err := NewVZIP(cs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := bytes.Repeat([]byte("smartnic isolation "), 500)
-	if err := pm.Write(r.Start, src); err != nil {
-		t.Fatal(err)
-	}
-	compLen, err := vz.CompressBuffer(pm, 0, len(src), tlb.VAddr(page))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compLen >= len(src) {
-		t.Fatalf("no compression: %d -> %d", len(src), compLen)
-	}
-	outLen, err := vz.DecompressBuffer(pm, tlb.VAddr(page), compLen, tlb.VAddr(2*page))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outLen != len(src) {
-		t.Fatalf("decompressed %d bytes", outLen)
-	}
-	got := make([]byte, len(src))
-	pm.Read(r.Start+mem.Addr(2*page), got)
-	if !bytes.Equal(got, src) {
-		t.Fatal("round trip through DRAM mismatch")
-	}
-}
-
-func TestVRAIDParity(t *testing.T) {
-	pm, _ := setup(t)
-	ra, err := New(RAID, 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, entries := mapRegion(t, pm, mem.FirstNF, 4*page)
-	cs, err := ra.Alloc(mem.FirstNF, 1, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vr, err := NewVRAID(cs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRand(1)
-	stripe := 4096
-	b0 := make([]byte, stripe)
-	b1 := make([]byte, stripe)
-	rng.Bytes(b0)
-	rng.Bytes(b1)
-	pm.Write(r.Start, b0)
-	pm.Write(r.Start+mem.Addr(page), b1)
-	if err := vr.ParityBuffer(pm, []tlb.VAddr{0, tlb.VAddr(page)}, stripe, tlb.VAddr(2*page)); err != nil {
-		t.Fatal(err)
-	}
-	parity := make([]byte, stripe)
-	pm.Read(r.Start+mem.Addr(2*page), parity)
-	for i := range parity {
-		if parity[i] != b0[i]^b1[i] {
-			t.Fatalf("parity wrong at %d", i)
+	bank := csA[0].TLB
+	for _, va := range []tlb.VAddr{0, page - 1} {
+		pa, err := bank.Translate(va, tlb.PermRead)
+		if err != nil || pa != rA.Start+mem.Addr(va) {
+			t.Fatalf("own VA %#x -> %#x, %v; want %#x", va, pa, err, rA.Start+mem.Addr(va))
 		}
 	}
+	// NF B's page sits next to A's in DRAM, but no VA of A's cluster
+	// reaches it: the VA past A's page faults, and the locked bank takes
+	// no new mapping.
+	rB, _ := mapRegion(t, pm, mem.FirstNF+1, page)
+	if _, err := bank.Translate(tlb.VAddr(page), tlb.PermRead); !errors.Is(err, tlb.ErrMiss) {
+		t.Fatalf("foreign VA translated: %v", err)
+	}
+	if err := bank.Install(tlb.Entry{VA: tlb.VAddr(page), PA: rB.Start, Size: page, Perm: tlb.PermRW}); !errors.Is(err, tlb.ErrLocked) {
+		t.Fatalf("locked bank took a mapping of NF B's page: %v", err)
+	}
+	a.Release(mem.FirstNF)
+	if csA[0].Owner() != mem.Free {
+		t.Fatal("release left the cluster bound")
+	}
+	if _, err := csA[0].TLB.Translate(0, tlb.PermRead); !errors.Is(err, tlb.ErrMiss) {
+		t.Fatalf("released cluster still translates: %v", err)
+	}
 }
 
+// TestUnboundClusterRefusesWork: a cluster no NF holds has an empty,
+// unlocked TLB bank, so it reaches no memory at all.
 func TestUnboundClusterRefusesWork(t *testing.T) {
 	pm, a := setup(t)
-	auto, _ := ac.Compile([][]byte{[]byte("x")})
-	v, err := NewVDPI(a.clusters[0], auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.ScanBuffer(pm, 0, 4); err == nil {
-		t.Fatal("unbound cluster scanned memory")
+	mapRegion(t, pm, mem.FirstNF, page)
+	for _, c := range a.clusters {
+		if c.Owner() != mem.Free || c.TLB.Locked() {
+			t.Fatalf("cluster %d bound before any Alloc", c.ID)
+		}
+		if _, err := c.TLB.Translate(0, tlb.PermRead); !errors.Is(err, tlb.ErrMiss) {
+			t.Fatalf("unbound cluster %d translated VA 0: %v", c.ID, err)
+		}
 	}
 }
 
@@ -267,69 +192,10 @@ func TestKindString(t *testing.T) {
 	if DPI.String() != "DPI" || ZIP.String() != "ZIP" || RAID.String() != "RAID" {
 		t.Fatal("kind names")
 	}
+	if CRYPTO.String() != "CRYPTO" || Kind(9).String() != "kind(9)" {
+		t.Fatal("kind names")
+	}
 	if TLBEntriesFor(DPI) != 54 || TLBEntriesFor(ZIP) != 70 || TLBEntriesFor(RAID) != 5 {
 		t.Fatal("Table 7 TLB sizes")
-	}
-}
-
-func TestVCryptoSealOpenThroughDRAM(t *testing.T) {
-	pm, _ := setup(t)
-	ca, err := New(CRYPTO, 32, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if CRYPTO.String() != "CRYPTO" || TLBEntriesFor(CRYPTO) == 0 {
-		t.Fatal("CRYPTO kind not registered")
-	}
-	r, entries := mapRegion(t, pm, mem.FirstNF, 4*page)
-	cs, err := ca.Alloc(mem.FirstNF, 1, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := [32]byte{1, 2, 3}
-	vc, err := NewVCrypto(cs[0], key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("tenant tls record, confidential")
-	pm.Write(r.Start, msg)
-	nonce := make([]byte, 12)
-	ctLen, err := vc.SealBuffer(pm, 0, len(msg), nonce, tlb.VAddr(page))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctLen != len(msg)+16 {
-		t.Fatalf("ciphertext length %d", ctLen)
-	}
-	// Ciphertext differs from plaintext in DRAM.
-	ct := make([]byte, ctLen)
-	pm.Read(r.Start+mem.Addr(page), ct)
-	if bytes.Contains(ct, msg) {
-		t.Fatal("plaintext visible in ciphertext buffer")
-	}
-	ptLen, err := vc.OpenBuffer(pm, tlb.VAddr(page), ctLen, nonce, tlb.VAddr(2*page))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, ptLen)
-	pm.Read(r.Start+mem.Addr(2*page), got)
-	if !bytes.Equal(got, msg) {
-		t.Fatal("round trip mismatch")
-	}
-	// Tampering detected.
-	pm.Write(r.Start+mem.Addr(page), []byte{0xFF})
-	if _, err := vc.OpenBuffer(pm, tlb.VAddr(page), ctLen, nonce, tlb.VAddr(2*page)); err == nil {
-		t.Fatal("tampered ciphertext accepted")
-	}
-	// Wrong nonce size rejected.
-	if _, err := vc.SealBuffer(pm, 0, 4, nonce[:8], tlb.VAddr(page)); err == nil {
-		t.Fatal("short nonce accepted")
-	}
-}
-
-func TestVCryptoWrongKind(t *testing.T) {
-	dpi, _ := New(DPI, 16, 16)
-	if _, err := NewVCrypto(dpi.clusters[0], [32]byte{}); err == nil {
-		t.Fatal("DPI cluster accepted as vCrypto")
 	}
 }

@@ -91,12 +91,8 @@ type Cache struct {
 	setShift  uint
 	setMask   uint64
 	// ranges[d] is the half-open way interval domain d may occupy,
-	// precomputed at construction and on every wayAlloc install instead of
-	// being rebuilt per access.
+	// precomputed at construction instead of being rebuilt per access.
 	ranges [][2]int32
-	// wayAlloc, when non-nil, overrides the equal static split with
-	// explicit per-domain way ranges (installed by the SecDCP Resizer).
-	wayAlloc [][2]int
 	// obs handles, indexed by domain; nil until Observe attaches a
 	// collector, so the unobserved hot path pays one nil check.
 	obsHits, obsMisses, obsEvictions []*obs.Counter
@@ -162,20 +158,13 @@ func (c *Cache) locate(pa mem.Addr) (int, uint64) {
 	return int(block % uint64(c.sets)), block / uint64(c.sets)
 }
 
-// computeRanges rebuilds the per-domain way-range table from the policy
-// and the current wayAlloc override.
+// computeRanges builds the per-domain way-range table from the policy:
+// every way under Shared, an equal split under Static.
 func (c *Cache) computeRanges() {
-	if c.ranges == nil {
-		c.ranges = make([][2]int32, c.domains)
-	}
+	c.ranges = make([][2]int32, c.domains)
 	for d := 0; d < c.domains; d++ {
 		if c.policy == Shared {
 			c.ranges[d] = [2]int32{0, int32(c.ways)}
-			continue
-		}
-		if c.wayAlloc != nil {
-			r := c.wayAlloc[d]
-			c.ranges[d] = [2]int32{int32(r[0]), int32(r[1])}
 			continue
 		}
 		per := c.ways / c.domains
@@ -185,29 +174,6 @@ func (c *Cache) computeRanges() {
 			hi = c.ways // last domain absorbs the remainder ways
 		}
 		c.ranges[d] = [2]int32{int32(lo), int32(hi)}
-	}
-}
-
-// setWayAlloc installs an explicit per-domain way allocation (the SecDCP
-// Resizer's mechanism), refreshes the precomputed range table, and
-// flushes every line stranded outside its owner's new range: content
-// must never be readable (or evictable) across a partition boundary.
-func (c *Cache) setWayAlloc(alloc [][2]int) {
-	c.wayAlloc = alloc
-	c.computeRanges()
-	for set := 0; set < c.sets; set++ {
-		base := set * c.ways
-		for w := 0; w < c.ways; w++ {
-			m := &c.meta[base+w]
-			if !m.valid {
-				continue
-			}
-			r := c.ranges[m.domain]
-			if int32(w) < r[0] || int32(w) >= r[1] {
-				*m = lineMeta{}
-				c.tags[base+w] = 0
-			}
-		}
 	}
 }
 
@@ -240,12 +206,6 @@ func (c *Cache) Observe(reg *obs.Registry, device string) {
 		c.obsMisses[d] = reg.Counter(obs.Label{Device: device, Owner: owner, Component: component, Name: "misses"})
 		c.obsEvictions[d] = reg.Counter(obs.Label{Device: device, Owner: owner, Component: component, Name: "evictions"})
 	}
-}
-
-// wayRange returns the half-open way interval domain may occupy.
-func (c *Cache) wayRange(domain int) (int, int) {
-	r := c.ranges[domain]
-	return int(r[0]), int(r[1])
 }
 
 // Access looks up the line containing pa on behalf of domain. It returns

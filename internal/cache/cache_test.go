@@ -234,134 +234,3 @@ func TestPolicyString(t *testing.T) {
 		t.Fatal("policy names")
 	}
 }
-
-func secdcpCache(t *testing.T) (*Cache, *Resizer) {
-	t.Helper()
-	c := mustNew(t, Config{Size: 16 << 10, LineSize: 64, Ways: 8, Policy: Static, Domains: 3})
-	r, err := NewResizer(c, []int{2, 2, 2}) // 2 flexible ways start with the NFs
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, r
-}
-
-func TestResizerInitialAllocation(t *testing.T) {
-	_, r := secdcpCache(t)
-	if r.Ways(0) != 2 || r.Ways(1) != 3 || r.Ways(2) != 3 {
-		t.Fatalf("allocation = %d/%d/%d", r.Ways(0), r.Ways(1), r.Ways(2))
-	}
-}
-
-func TestResizerValidation(t *testing.T) {
-	shared := mustNew(t, Config{Size: 8 << 10, LineSize: 64, Ways: 4, Policy: Shared, Domains: 2})
-	if _, err := NewResizer(shared, []int{1, 1}); err == nil {
-		t.Fatal("shared cache accepted")
-	}
-	static := mustNew(t, Config{Size: 8 << 10, LineSize: 64, Ways: 4, Policy: Static, Domains: 2})
-	if _, err := NewResizer(static, []int{1}); err == nil {
-		t.Fatal("wrong minimum count accepted")
-	}
-	if _, err := NewResizer(static, []int{3, 3}); err == nil {
-		t.Fatal("over-subscribed minimums accepted")
-	}
-	if _, err := NewResizer(static, []int{0, 1}); err == nil {
-		t.Fatal("zero minimum accepted")
-	}
-}
-
-func TestResizerGrowsOSUnderPressure(t *testing.T) {
-	c, r := secdcpCache(t)
-	rng := sim.NewRand(3)
-	// The OS thrashes (way beyond its slice): Tick should grow domain 0.
-	for i := 0; i < 500; i++ {
-		c.Access(mem.Addr(rng.Intn(1<<20))&^63, 0, false)
-	}
-	r.Tick()
-	if r.Ways(0) != 3 {
-		t.Fatalf("OS ways = %d after pressure, want 3", r.Ways(0))
-	}
-	// NF minimums are never violated no matter how long pressure lasts.
-	for e := 0; e < 10; e++ {
-		for i := 0; i < 500; i++ {
-			c.Access(mem.Addr(rng.Intn(1<<20))&^63, 0, false)
-		}
-		r.Tick()
-	}
-	if r.Ways(1) < 2 || r.Ways(2) < 2 {
-		t.Fatalf("NF minimums violated: %d/%d", r.Ways(1), r.Ways(2))
-	}
-}
-
-func TestResizerReturnsWaysWhenRelaxed(t *testing.T) {
-	c, r := secdcpCache(t)
-	rng := sim.NewRand(4)
-	for i := 0; i < 500; i++ {
-		c.Access(mem.Addr(rng.Intn(1<<20))&^63, 0, false)
-	}
-	r.Tick() // grows OS to 5
-	grown := r.Ways(0)
-	// Quiet OS epochs: ways drift back toward NFs.
-	for e := 0; e < 5; e++ {
-		r.Tick()
-	}
-	if r.Ways(0) >= grown {
-		t.Fatalf("OS kept %d ways despite being idle", r.Ways(0))
-	}
-}
-
-func TestResizerFlushesStrandedLines(t *testing.T) {
-	c, r := secdcpCache(t)
-	rng := sim.NewRand(5)
-	// NF domain 2 warms lines in its current ways.
-	var addrs []mem.Addr
-	for i := 0; i < 64; i++ {
-		a := mem.Addr(i*64*int(c.Sets())) & ^mem.Addr(63)
-		c.Access(a, 2, false)
-		addrs = append(addrs, a)
-	}
-	// Force a reshuffle by pressuring the OS.
-	for i := 0; i < 500; i++ {
-		c.Access(mem.Addr(rng.Intn(1<<20))&^63, 0, false)
-	}
-	r.Tick()
-	// No line may live outside its owner's range (checked indirectly:
-	// every resident line of domain 2 must still hit for domain 2 only
-	// within its new ways, and occupancy must not exceed its allocation).
-	maxLines := r.Ways(2) * c.Sets()
-	if c.OccupancyOf(2) > maxLines {
-		t.Fatalf("domain 2 holds %d lines with only %d ways", c.OccupancyOf(2), r.Ways(2))
-	}
-	_ = addrs
-}
-
-// The SecDCP information-flow property: the resize schedule depends only
-// on the OS's behaviour. Whatever the NFs do, the sequence of allocations
-// is identical.
-func TestResizerIgnoresNFBehaviour(t *testing.T) {
-	run := func(nfActive bool) []int {
-		c, r := secdcpCache(t)
-		osRng := sim.NewRand(7)
-		nfRng := sim.NewRand(8)
-		var allocs []int
-		for e := 0; e < 20; e++ {
-			for i := 0; i < 300; i++ {
-				c.Access(mem.Addr(osRng.Intn(1<<18))&^63, 0, false)
-				if nfActive {
-					c.Access(mem.Addr(nfRng.Intn(1<<22))&^63, 1, false)
-					c.Access(mem.Addr(nfRng.Intn(1<<22))&^63, 2, true)
-				}
-			}
-			r.Tick()
-			allocs = append(allocs, r.Ways(0))
-		}
-		return allocs
-	}
-	quiet := run(false)
-	noisy := run(true)
-	for i := range quiet {
-		if quiet[i] != noisy[i] {
-			t.Fatalf("epoch %d: allocation %d vs %d — NF behaviour leaked into resize",
-				i, quiet[i], noisy[i])
-		}
-	}
-}

@@ -1,9 +1,4 @@
 package cache
 
-// SetWayAllocForTest exposes setWayAlloc so the reference-equivalence
-// property test can install arbitrary allocations mid-trace, the way the
-// SecDCP Resizer does.
-func (c *Cache) SetWayAllocForTest(alloc [][2]int) { c.setWayAlloc(alloc) }
-
 // Pow2ForTest reports whether the shift/mask fast path is active.
 func (c *Cache) Pow2ForTest() bool { return c.pow2 }

@@ -32,7 +32,6 @@ type refCache struct {
 	lines    []refLine
 	tick     uint64
 	stats    []Stats
-	wayAlloc [][2]int
 }
 
 func newRefCache(cfg Config) *refCache {
@@ -54,10 +53,6 @@ func newRefCache(cfg Config) *refCache {
 func (c *refCache) wayRange(domain int) (int, int) {
 	if c.policy == Shared {
 		return 0, c.ways
-	}
-	if c.wayAlloc != nil {
-		r := c.wayAlloc[domain]
-		return r[0], r[1]
 	}
 	per := c.ways / c.domains
 	lo := domain * per
@@ -146,45 +141,9 @@ func (c *refCache) OccupancyOf(domain int) int {
 	return n
 }
 
-func (c *refCache) setWayAlloc(alloc [][2]int) {
-	c.wayAlloc = alloc
-	for set := 0; set < c.sets; set++ {
-		base := set * c.ways
-		for w := 0; w < c.ways; w++ {
-			l := &c.lines[base+w]
-			if !l.valid {
-				continue
-			}
-			rangeOf := c.wayAlloc[l.domain]
-			if w < rangeOf[0] || w >= rangeOf[1] {
-				*l = refLine{}
-			}
-		}
-	}
-}
-
-// randAlloc draws a valid contiguous way allocation: every domain gets at
-// least one way and the ranges tile [0, ways).
-func randAlloc(rng *sim.Rand, domains, ways int) [][2]int {
-	cuts := make([]int, domains)
-	for i := range cuts {
-		cuts[i] = 1
-	}
-	for extra := ways - domains; extra > 0; extra-- {
-		cuts[rng.Intn(domains)]++
-	}
-	alloc := make([][2]int, domains)
-	lo := 0
-	for d, w := range cuts {
-		alloc[d] = [2]int{lo, lo + w}
-		lo += w
-	}
-	return alloc
-}
-
 // TestRewriteMatchesReference drives the optimized cache and the retained
 // reference through identical randomized traces — mixed domains, reads
-// and writes, mid-trace flushes and SecDCP-style reallocations — over
+// and writes, mid-trace flushes — over
 // both power-of-two and non-power-of-two geometries, asserting identical
 // hit/miss outcomes, statistics, residency, and occupancy throughout.
 // Matching residency after every access pins the eviction victims too: a
@@ -222,12 +181,6 @@ func TestRewriteMatchesReference(t *testing.T) {
 					d := rng.Intn(g.cfg.Domains)
 					if got, want := opt.FlushDomain(d), ref.FlushDomain(d); got != want {
 						t.Fatalf("step %d: FlushDomain(%d) = %d, want %d", step, d, got, want)
-					}
-				case 1:
-					if g.cfg.Policy == Static {
-						alloc := randAlloc(rng, g.cfg.Domains, g.cfg.Ways)
-						opt.SetWayAllocForTest(alloc)
-						ref.setWayAlloc(alloc)
 					}
 				default:
 					pa := mem.Addr(rng.Uint64() % window)

@@ -29,7 +29,7 @@ const TLBEntriesPerCore = 64
 
 // DefaultCacheWays is the shared-L2 associativity the Figure 5 sweeps
 // model (exp.Fig5Config builds 16-way caches); the way axis is what
-// SecDCP/static partitioning carves up.
+// static partitioning carves up.
 const DefaultCacheWays = 16
 
 // WarmPoolFrames sizes a device's warm scrubbed-arena pool from its

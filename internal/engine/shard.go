@@ -46,7 +46,7 @@ func (s *Shard) Save(cursor, partial any) error {
 	return nil
 }
 
-// Pos publishes the shard's current item position (a trace.Stream
+// Pos publishes the shard's current item position (a CAIDAStream
 // position for replay shards) to the run's progress telemetry.
 // Write-only and nil-safe: shard code may call it unconditionally and
 // nothing simulated ever depends on it.

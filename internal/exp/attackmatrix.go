@@ -18,9 +18,8 @@ type AttackCol struct {
 
 // AttackMatrix runs the whole attack suite against every registered
 // device model and returns one column per model (in registry order).
-func AttackMatrix() ([]AttackCol, error) { return new(Runner).AttackMatrix() }
-
-// AttackMatrix decomposes the sweep into one engine job per model; each
+//
+// It decomposes the sweep into one engine job per model; each
 // job builds its own device through the factory, so columns are
 // independent and deterministic no matter which worker runs them.
 func (r *Runner) AttackMatrix() ([]AttackCol, error) {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestAttackMatrixGolden(t *testing.T) {
-	cols, err := AttackMatrix()
+	cols, err := new(Runner).AttackMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestAttackMatrixGolden(t *testing.T) {
 // exists to demonstrate: S-NIC blocks the whole suite, and every attack
 // lands on at least one commodity baseline.
 func TestAttackMatrixSemantics(t *testing.T) {
-	cols, err := AttackMatrix()
+	cols, err := new(Runner).AttackMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestAttackMatrixSemantics(t *testing.T) {
 }
 
 func TestFig5aGolden(t *testing.T) {
-	rows, err := Figure5a(smallFig5(), []uint64{64 << 10, 4 << 20})
+	rows, err := new(Runner).Figure5a(smallFig5(), []uint64{64 << 10, 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFig5aGolden(t *testing.T) {
 }
 
 func TestFig5bGolden(t *testing.T) {
-	rows, err := Figure5b(smallFig5(), []int{2, 8})
+	rows, err := new(Runner).Figure5b(smallFig5(), []int{2, 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,9 +60,6 @@ type ChurnRow struct {
 	TearP99    float64
 }
 
-// ChurnNF runs the churn sweep on the default runner.
-func ChurnNF(cfg ChurnConfig) ([]ChurnRow, error) { return new(Runner).ChurnNF(cfg) }
-
 // ChurnNF continuously launches, attests, and tears down short-lived
 // NFs against every registered device model — one engine job per
 // (model, mode) cell, so the sweep parallelizes like every other

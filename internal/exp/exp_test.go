@@ -16,7 +16,7 @@ func TestStaticTables(t *testing.T) {
 }
 
 func TestTable5(t *testing.T) {
-	tbl, err := Table5()
+	tbl, err := new(Runner).Table5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestTable5(t *testing.T) {
 }
 
 func TestProfileAndTables68(t *testing.T) {
-	profiles, err := ProfileNFs(nf.TestScale(3), 2000, 4000)
+	profiles, err := new(Runner).ProfileNFs(nf.TestScale(3), 2000, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestProfileAndTables68(t *testing.T) {
 }
 
 func TestTable7PaperEntries(t *testing.T) {
-	tbl, err := Table7(0)
+	tbl, err := new(Runner).Table7(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func smallFig5() Fig5Config {
 }
 
 func TestFigure5aShape(t *testing.T) {
-	rows, err := Figure5a(smallFig5(), []uint64{64 << 10, 4 << 20})
+	rows, err := new(Runner).Figure5a(smallFig5(), []uint64{64 << 10, 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestFigure5aShape(t *testing.T) {
 }
 
 func TestFigure5bShape(t *testing.T) {
-	rows, err := Figure5b(smallFig5(), []int{2, 8})
+	rows, err := new(Runner).Figure5b(smallFig5(), []int{2, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFigure5bShape(t *testing.T) {
 }
 
 func TestFigure6Breakdown(t *testing.T) {
-	rows, err := Figure6()
+	rows, err := new(Runner).Figure6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestFigure6Breakdown(t *testing.T) {
 }
 
 func TestFigure7GrowthAndSpikes(t *testing.T) {
-	series, err := Figure7(20, 3000, 40)
+	series, err := new(Runner).Figure7(20, 3000, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,10 @@ func TestFigure7GrowthAndSpikes(t *testing.T) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	rows := Figure8(1500)
+	rows, err := new(Runner).Figure8(1500)
+	if err != nil {
+		t.Fatal(err)
+	}
 	get := func(threads, frame int) float64 {
 		for _, r := range rows {
 			if r.Threads == threads && r.FrameBytes == frame {
@@ -236,7 +239,7 @@ func TestMedianAcrossNFsEmpty(t *testing.T) {
 }
 
 func TestFigure7DefaultSamples(t *testing.T) {
-	series, err := Figure7(1, 100, 0)
+	series, err := new(Runner).Figure7(1, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +249,13 @@ func TestFigure7DefaultSamples(t *testing.T) {
 }
 
 func TestFigure8DefaultRequests(t *testing.T) {
-	if rows := Figure8(0); len(rows) != 12 {
-		t.Fatalf("rows = %d", len(rows))
+	if rows, err := new(Runner).Figure8(0); err != nil || len(rows) != 12 {
+		t.Fatalf("rows = %d, err = %v", len(rows), err)
 	}
 }
 
 func TestThroughputHeadline(t *testing.T) {
-	med, p99, err := ThroughputHeadline(smallFig5())
+	med, p99, err := new(Runner).ThroughputHeadline(smallFig5())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,11 +244,8 @@ func partnersFor(cfg Fig5Config, target string, groupSize, count int) [][]string
 }
 
 // Figure5a sweeps L2 size with 2 co-located NFs.
-func Figure5a(cfg Fig5Config, l2Sizes []uint64) ([]Fig5Row, error) {
-	return new(Runner).Figure5a(cfg, l2Sizes)
-}
-
-// Figure5a decomposes the cache sweep into one engine job per
+//
+// It decomposes the cache sweep into one engine job per
 // (L2 size, target NF) point. The colocation simulator derives all of
 // its randomness from cfg.Seed, so every point is already a pure
 // function of (cfg, size, target) and safe to run on any worker.
@@ -277,11 +274,8 @@ func (r *Runner) Figure5a(cfg Fig5Config, l2Sizes []uint64) ([]Fig5Row, error) {
 }
 
 // Figure5b sweeps co-tenancy at a fixed 4 MB L2.
-func Figure5b(cfg Fig5Config, counts []int) ([]Fig5Row, error) {
-	return new(Runner).Figure5b(cfg, counts)
-}
-
-// Figure5b decomposes the co-tenancy sweep into one engine job per
+//
+// It decomposes the co-tenancy sweep into one engine job per
 // (tenant count, target NF) point.
 func (r *Runner) Figure5b(cfg Fig5Config, counts []int) ([]Fig5Row, error) {
 	cfg.defaults()
@@ -376,11 +370,6 @@ func MedianAcrossNFs(rows []Fig5Row, x string) (mean float64, p99 float64) {
 // mechanisms decrease function throughput by less than 1.7%" — which §5.3
 // grounds as the 99th-percentile IPC degradation with 4 co-located NFs
 // and a 4 MB L2. It returns (median, p99) in percent.
-func ThroughputHeadline(cfg Fig5Config) (float64, float64, error) {
-	return new(Runner).ThroughputHeadline(cfg)
-}
-
-// ThroughputHeadline computes the §1 claim on r's worker pool.
 func (r *Runner) ThroughputHeadline(cfg Fig5Config) (float64, float64, error) {
 	rows, err := r.Figure5b(cfg, []int{4})
 	if err != nil {

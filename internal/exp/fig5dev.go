@@ -28,12 +28,9 @@ type Fig5DevRow struct {
 }
 
 // Figure5Devices sweeps the pairwise colocation comparison across every
-// registered device model on the default runner.
-func Figure5Devices(cfg Fig5Config) ([]Fig5DevRow, error) {
-	return new(Runner).Figure5Devices(cfg)
-}
-
-// Figure5Devices decomposes the device sweep into one engine job per
+// registered device model.
+//
+// It decomposes the device sweep into one engine job per
 // (model, target NF) point. Each point derives everything from
 // (cfg, model, target), so jobs stay independent and worker-invariant.
 func (r *Runner) Figure5Devices(cfg Fig5Config) ([]Fig5DevRow, error) {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestFig5DevGolden(t *testing.T) {
-	rows, err := Figure5Devices(smallFig5())
+	rows, err := new(Runner).Figure5Devices(smallFig5())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestFig5DevGolden(t *testing.T) {
 // pairwise colocations stay in the same few-percent regime). The S-NIC
 // rows are Figure 5a's 4 MB point: both run the one co-tenancy driver.
 func TestFigure5DevicesShape(t *testing.T) {
-	rows, err := Figure5Devices(smallFig5())
+	rows, err := new(Runner).Figure5Devices(smallFig5())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestFigure5DevicesShape(t *testing.T) {
 	for _, r := range rows {
 		perDevice[r.Device] = append(perDevice[r.Device], r)
 	}
-	fig5a, err := Figure5a(smallFig5(), []uint64{4 << 20})
+	fig5a, err := new(Runner).Figure5a(smallFig5(), []uint64{4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,8 @@ type Fig6Row struct {
 // Figure6 launches each NF (sized by its published memory profile) on an
 // S-NIC and reports the simulated nf_launch / nf_attest / nf_destroy
 // latency breakdowns.
-func Figure6() ([]Fig6Row, error) { return new(Runner).Figure6() }
-
-// Figure6 decomposes the instruction-latency sweep into one engine job
+//
+// It decomposes the instruction-latency sweep into one engine job
 // per NF. Each job builds its own vendor and device; the serial
 // implementation shared one device across all six launches, which would
 // race on the device's NF table if jobs ran concurrently.
@@ -130,11 +129,8 @@ type Fig7Point struct {
 // live memory, reproducing the growth curve with hugepage-staging and
 // hash-resize spikes. flowRate 0 selects the CAIDA default (~7417/s);
 // tests pass smaller rates.
-func Figure7(seconds float64, flowRate float64, samples int) ([]Fig7Point, error) {
-	return new(Runner).Figure7(seconds, flowRate, samples)
-}
-
-// Figure7 runs as a single engine job: the time series is inherently
+//
+// It runs as a single engine job: the time series is inherently
 // sequential (one Monitor accumulating state across the whole window),
 // so the engine contributes only seeding and metrics here.
 func (r *Runner) Figure7(seconds float64, flowRate float64, samples int) ([]Fig7Point, error) {
@@ -210,16 +206,8 @@ type Fig8Row struct {
 
 // Figure8 sweeps DPI accelerator throughput over cluster size and frame
 // size using the calibrated dispatcher/thread model.
-func Figure8(requests int) []Fig8Row {
-	rows, err := new(Runner).Figure8(requests)
-	if err != nil {
-		// The model is pure; only a panicking job can produce an error.
-		panic(err)
-	}
-	return rows
-}
-
-// Figure8 decomposes the sweep into one engine job per (threads, frame)
+//
+// It decomposes the sweep into one engine job per (threads, frame)
 // point.
 func (r *Runner) Figure8(requests int) ([]Fig8Row, error) {
 	if requests <= 0 {

@@ -144,8 +144,3 @@ func RenderFleet(rows []FleetRow) Table {
 	}
 	return t
 }
-
-// FleetChurn is the package-level entry with default concurrency.
-func FleetChurn(devices, events int) ([]FleetRow, error) {
-	return new(Runner).FleetChurn(devices, events)
-}

@@ -44,7 +44,7 @@ func golden(t *testing.T, name, got string) {
 // profile-derived golden uses.
 func goldenProfiles(t *testing.T) []NFProfile {
 	t.Helper()
-	profiles, err := ProfileNFs(nf.TestScale(3), 2000, 4000)
+	profiles, err := new(Runner).ProfileNFs(nf.TestScale(3), 2000, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestGoldenStaticTables(t *testing.T) {
 }
 
 func TestGoldenTable5(t *testing.T) {
-	tbl, err := Table5()
+	tbl, err := new(Runner).Table5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestGoldenTables6And8(t *testing.T) {
 }
 
 func TestGoldenTable7(t *testing.T) {
-	tbl, err := Table7(0)
+	tbl, err := new(Runner).Table7(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestGoldenTable7(t *testing.T) {
 }
 
 func TestGoldenFigure6(t *testing.T) {
-	rows, err := Figure6()
+	rows, err := new(Runner).Figure6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestGoldenFigure6(t *testing.T) {
 }
 
 func TestGoldenFigure7(t *testing.T) {
-	series, err := Figure7(20, 3000, 40)
+	series, err := new(Runner).Figure7(20, 3000, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +98,17 @@ func TestGoldenFigure7(t *testing.T) {
 }
 
 func TestGoldenFigure8(t *testing.T) {
-	golden(t, "fig8", RenderFig8(Figure8(1500)).String())
+	rows, err := new(Runner).Figure8(1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "fig8", RenderFig8(rows).String())
 }
 
 // TestGoldenFleet pins the fleet churn table at the worker-invariance
 // suite's shape.
 func TestGoldenFleet(t *testing.T) {
-	rows, err := FleetChurn(4, 30)
+	rows, err := new(Runner).FleetChurn(4, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

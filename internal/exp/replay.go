@@ -116,11 +116,8 @@ func digestFold(h, v uint64) uint64 {
 // interrupt/resume schedule. On interruption the returned error wraps
 // engine.ErrInterrupted and the checkpoint file (if configured) holds
 // the resumable state.
-func ReplayCAIDA(cfg ReplayConfig) (ReplayResult, error) {
-	return new(Runner).ReplayCAIDA(cfg)
-}
-
-// ReplayCAIDA decomposes the window into cfg.Shards engine jobs, each
+//
+// It decomposes the window into cfg.Shards engine jobs, each
 // walking its own budget stream (trace.NewCAIDABudget on the job-derived
 // RNG) against an nf.MonitorModel, checkpointing every CheckpointEvery
 // packets.

@@ -91,9 +91,8 @@ func Table4() Table {
 // Table5 regenerates the page-size-setting table at 48 cores, computing
 // the per-setting entry requirement as the maximum over the six NFs'
 // published profiles (which is how the paper derives 183/51/13).
-func Table5() (Table, error) { return new(Runner).Table5() }
-
-// Table5 decomposes the sweep into one engine job per page-size setting.
+//
+// It decomposes the sweep into one engine job per page-size setting.
 func (r *Runner) Table5() (Table, error) {
 	t := Table{
 		Title:  "Table 5: TLB cost vs page-size setting (48 cores)",
@@ -160,11 +159,8 @@ type NFProfile struct {
 // ProfileNFs builds the suite at the given scale, drives the stateful NFs
 // with a deterministic workload, and measures every profile. The workload
 // (flow count, packets) scales with cfg so tests stay fast.
-func ProfileNFs(cfg nf.SuiteConfig, flows, packets int) ([]NFProfile, error) {
-	return new(Runner).ProfileNFs(cfg, flows, packets)
-}
-
-// ProfileNFs decomposes the Table 6/8 profiling sweep into one engine
+//
+// It decomposes the Table 6/8 profiling sweep into one engine
 // job per NF. Each job builds its own NF instance and its own packet
 // pool from the job-derived RNG; the serial implementation used to
 // thread one pool through all six NFs in table order, which made every
@@ -268,9 +264,8 @@ func Table6(profiles []NFProfile) Table {
 // Table7 reports the accelerator buffer inventories and the TLB entries
 // they need — using the paper's published buffer sizes plus our measured
 // DPI graph when one is supplied (0 uses the paper's 97.28 MB).
-func Table7(dpiGraphBytes uint64) (Table, error) { return new(Runner).Table7(dpiGraphBytes) }
-
-// Table7 decomposes the inventory into one engine job per accelerator.
+//
+// It decomposes the inventory into one engine job per accelerator.
 func (r *Runner) Table7(dpiGraphBytes uint64) (Table, error) {
 	if dpiGraphBytes == 0 {
 		mib := float64(uint64(1) << 20)

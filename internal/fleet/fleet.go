@@ -72,18 +72,6 @@ type ResourceSpec struct {
 	AccelClusters int    `json:"accel_clusters,omitempty"`
 }
 
-// resources converts the spec to the device layer's byte-denominated
-// vector.
-func (s ResourceSpec) resources() device.Resources {
-	return device.Resources{
-		Cores:         s.Cores,
-		MemBytes:      s.MemMB << 20,
-		TLBEntries:    s.TLBEntries,
-		CacheWays:     s.CacheWays,
-		AccelClusters: s.AccelClusters,
-	}
-}
-
 // allows reports whether adding add to used stays inside the quota.
 // Zero quota axes are unlimited: a tenant admitted with an empty quota
 // is bounded only by device capacity.

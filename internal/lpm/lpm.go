@@ -9,17 +9,13 @@
 //
 // Inserts use the standard depth-tracking discipline (an entry written by
 // a /n route is only overwritten by a route with length >= n), so inserts
-// are incremental and order-independent. Deletes rebuild from the retained
-// route set — rare in router workloads and trivially correct.
+// are incremental and order-independent.
 //
 // The 2^24 x 4 B base table is 64 MB, which is what gives the LPM NF its
 // ~68 MB heap in Table 6.
 package lpm
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 const tbl24Size = 1 << 24
 
@@ -29,7 +25,7 @@ type Table struct {
 	depth24 []uint8  // 0 = no direct route; else prefix length + 1
 	pool24  []int32  // index into pools, or -1
 	pools   [][]poolEntry
-	routes  map[uint64]uint16 // key: prefix<<8 | length
+	routes  map[uint64]struct{} // distinct routes, key prefix<<8 | length
 }
 
 type poolEntry struct {
@@ -43,7 +39,7 @@ func New() *Table {
 		nh24:    make([]uint16, tbl24Size),
 		depth24: make([]uint8, tbl24Size),
 		pool24:  make([]int32, tbl24Size),
-		routes:  make(map[uint64]uint16),
+		routes:  make(map[uint64]struct{}),
 	}
 	for i := range t.pool24 {
 		t.pool24[i] = -1
@@ -58,7 +54,7 @@ func (t *Table) Insert(prefix uint32, length int, nexthop uint16) error {
 		return fmt.Errorf("lpm: bad prefix length %d", length)
 	}
 	prefix &= prefixMask(length)
-	t.routes[uint64(prefix)<<8|uint64(length)] = nexthop
+	t.routes[uint64(prefix)<<8|uint64(length)] = struct{}{}
 	t.apply(prefix, length, nexthop)
 	return nil
 }
@@ -105,47 +101,6 @@ func (t *Table) apply(prefix uint32, length int, nh uint16) {
 		if pool[j].depth <= d {
 			pool[j] = poolEntry{nh: nh, depth: d}
 		}
-	}
-}
-
-// Delete removes a route, returning whether it existed. The table is
-// rebuilt from the retained route set.
-func (t *Table) Delete(prefix uint32, length int) bool {
-	prefix &= prefixMask(length)
-	k := uint64(prefix)<<8 | uint64(length)
-	if _, ok := t.routes[k]; !ok {
-		return false
-	}
-	delete(t.routes, k)
-	t.rebuild()
-	return true
-}
-
-func (t *Table) rebuild() {
-	for i := range t.depth24 {
-		t.depth24[i] = 0
-		t.pool24[i] = -1
-	}
-	t.pools = t.pools[:0]
-	type route struct {
-		prefix uint32
-		length int
-		nh     uint16
-	}
-	rs := make([]route, 0, len(t.routes))
-	//lint:allow map-order routes are totally ordered by unique (length, prefix) right below
-	for k, nh := range t.routes {
-		rs = append(rs, route{uint32(k >> 8), int(k & 0xFF), nh})
-	}
-	// Ascending length: depth checks then allow every replay to land.
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].length != rs[j].length {
-			return rs[i].length < rs[j].length
-		}
-		return rs[i].prefix < rs[j].prefix
-	})
-	for _, r := range rs {
-		t.apply(r.prefix, r.length, r.nh)
 	}
 }
 

@@ -87,24 +87,6 @@ func TestInsertOrderIndependence(t *testing.T) {
 	}
 }
 
-func TestDeleteRestoresShorterPrefix(t *testing.T) {
-	tbl := New()
-	tbl.Insert(ip(10, 0, 0, 0), 8, 1)
-	tbl.Insert(ip(10, 1, 0, 0), 16, 2)
-	if !tbl.Delete(ip(10, 1, 0, 0), 16) {
-		t.Fatal("delete failed")
-	}
-	if nh, ok := tbl.Lookup(ip(10, 1, 2, 3)); !ok || nh != 1 {
-		t.Fatalf("shorter prefix not restored: %d,%v", nh, ok)
-	}
-	if tbl.Delete(ip(10, 1, 0, 0), 16) {
-		t.Fatal("double delete succeeded")
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("len = %d", tbl.Len())
-	}
-}
-
 func TestDefaultRoute(t *testing.T) {
 	tbl := New()
 	tbl.Insert(0, 0, 99)

@@ -41,9 +41,6 @@ func (l *LPM) Name() string { return "LPM" }
 // Arena implements NF.
 func (l *LPM) Arena() *mem.Arena { return l.arena }
 
-// Table exposes the routing table.
-func (l *LPM) Table() *lpm.Table { return l.table }
-
 // Process implements NF: look up the destination; drop when unroutable.
 func (l *LPM) Process(p *pkt.Packet) Verdict {
 	nh, ok := l.table.Lookup(p.Tuple.DstIP)

@@ -17,17 +17,14 @@ import (
 type NAT struct {
 	arena    *mem.Arena
 	external uint32
-	out      *hashmap.Map // inside 5-tuple key -> port | lastSeenTick<<16
+	out      *hashmap.Map // inside 5-tuple key -> port
 	back     *hashmap.Map // allocated port -> packed inside (ip, port)
 	nextPort uint32
-	free     []uint16 // reclaimed ports
 	maxFlows int
-	tick     uint64 // logical clock, advanced per packet
 
 	// Stats.
 	Translated uint64
 	Exhausted  uint64
-	Expired    uint64
 }
 
 // NATMaxFlows is the port-pool bound from the paper.
@@ -75,63 +72,29 @@ func (n *NAT) Process(p *pkt.Packet) Verdict {
 		n.Translated++
 		return Modified
 	}
-	n.tick++
 	key := hashmap.Key(p.Tuple.Key())
-	entry, ok := n.out.Get(key)
-	var port uint64
-	if ok {
-		port = entry & 0xFFFF
-	} else {
-		switch {
-		case len(n.free) > 0:
-			port = uint64(n.free[len(n.free)-1])
-			n.free = n.free[:len(n.free)-1]
-		case n.out.Len() < n.maxFlows && n.nextPort <= 65535:
-			port = uint64(n.nextPort)
-			n.nextPort++
-		default:
+	port, ok := n.out.Get(key)
+	if !ok {
+		if n.out.Len() >= n.maxFlows || n.nextPort > 65535 {
 			n.Exhausted++
 			return Drop
 		}
+		port = uint64(n.nextPort)
+		n.nextPort++
 		var rk hashmap.Key
 		rk[0] = byte(port >> 8)
 		rk[1] = byte(port)
 		rk[2] = 0xB0
 		n.back.Put(rk, uint64(p.Tuple.SrcIP)<<16|uint64(p.Tuple.SrcPort))
 	}
-	n.out.Put(key, port|n.tick<<16) // refresh last-seen
+	// Put on every packet, known flows too: Put checks the load factor
+	// before it looks the key up, so a hit can grow the table, and the
+	// arena's peak (Table 6) depends on when it grows.
+	n.out.Put(key, port)
 	p.Tuple.SrcIP = n.external
 	p.Tuple.SrcPort = uint16(port)
 	n.Translated++
 	return Modified
-}
-
-// Expire removes translations idle for more than maxIdle logical ticks,
-// reclaiming their external ports. It returns how many flows expired.
-// Real MazuNAT ages mappings the same way; the paper's fixed 65,535-flow
-// cap is the no-expiry worst case.
-func (n *NAT) Expire(maxIdle uint64) int {
-	var dead []hashmap.Key
-	var ports []uint16
-	n.out.Range(func(k hashmap.Key, v uint64) bool {
-		last := v >> 16
-		if n.tick-last > maxIdle {
-			dead = append(dead, k)
-			ports = append(ports, uint16(v))
-		}
-		return true
-	})
-	for i, k := range dead {
-		n.out.Delete(k)
-		var rk hashmap.Key
-		rk[0] = byte(ports[i] >> 8)
-		rk[1] = byte(ports[i])
-		rk[2] = 0xB0
-		n.back.Delete(rk)
-		n.free = append(n.free, ports[i])
-	}
-	n.Expired += uint64(len(dead))
-	return len(dead)
 }
 
 // WorkingSet implements NF.

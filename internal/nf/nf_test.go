@@ -370,60 +370,6 @@ func TestFirewallEvictsOldestAtCapacity(t *testing.T) {
 	}
 }
 
-func TestNATExpireReclaimsPorts(t *testing.T) {
-	n := NewNAT(0xC6336401)
-	mk := func(i uint32) pkt.Packet {
-		return mkPacket(pkt.FiveTuple{SrcIP: i + 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}, "x")
-	}
-	p1 := mk(1)
-	n.Process(&p1)
-	port1 := p1.Tuple.SrcPort
-	// Lots of later traffic on other flows ages flow 1 out.
-	for i := uint32(2); i < 40; i++ {
-		p := mk(i)
-		n.Process(&p)
-	}
-	if got := n.Expire(37); got != 1 {
-		t.Fatalf("expired %d flows", got)
-	}
-	// The reclaimed port is reused by the next new flow.
-	pNew := mk(999)
-	n.Process(&pNew)
-	if pNew.Tuple.SrcPort != port1 {
-		t.Fatalf("port %d not reclaimed (got %d)", port1, pNew.Tuple.SrcPort)
-	}
-	// Inbound to the expired mapping is now unsolicited.
-	in := mkPacket(pkt.FiveTuple{SrcIP: 2, DstIP: 0xC6336401, SrcPort: 4, DstPort: port1, Proto: 6}, "y")
-	// (port1 now maps to flow 999, so this is actually translated there;
-	// the point is the OLD flow's mapping is gone.)
-	_ = in
-	if n.Flows() != 39 { // 38 survivors + flow 999
-		t.Fatalf("flows = %d", n.Flows())
-	}
-}
-
-func TestNATRefreshPreventsExpiry(t *testing.T) {
-	n := NewNAT(0xC6336401)
-	hot := mkPacket(pkt.FiveTuple{SrcIP: 7, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}, "x")
-	n.Process(&hot)
-	for i := uint32(0); i < 50; i++ {
-		p := mkPacket(pkt.FiveTuple{SrcIP: 100 + i, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}, "x")
-		n.Process(&p)
-		hot2 := hot
-		n.Process(&hot2) // keep the hot flow fresh
-	}
-	if n.Expire(60) == 0 {
-		t.Fatal("nothing expired despite idle flows")
-	}
-	// The hot flow survived.
-	probe := hot
-	before := n.Flows()
-	n.Process(&probe)
-	if n.Flows() != before {
-		t.Fatal("hot flow was expired")
-	}
-}
-
 func TestMonitorTopK(t *testing.T) {
 	m := NewMonitor(nil)
 	heavy := pkt.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}

@@ -292,9 +292,6 @@ func (v *VPP) Pop() (Descriptor, bool) {
 	return d, true
 }
 
-// Pending returns the receive-queue depth.
-func (v *VPP) Pending() int { return len(v.queue) }
-
 // ReadFrame copies a received frame out of the NF's memory through the
 // scheduler TLB (what the packet-output module does on transmit).
 func (v *VPP) ReadFrame(pm *mem.Physical, d Descriptor) ([]byte, error) {

@@ -343,6 +343,35 @@ func TestDMABinding(t *testing.T) {
 	}
 }
 
+// TestTeardownUnbindsDMABank relaunches on the DMA core of a torn-down
+// NF: teardown must leave the bank free, so the second launch binds it
+// to the new owner instead of failing as "already bound".
+func TestTeardownUnbindsDMABank(t *testing.T) {
+	d := newDevice(t)
+	spec := basicSpec()
+	spec.DMACore = 0
+	spec.DMAWindow = dma.NewHostRegion(64 << 10)
+	first, err := d.Launch(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := d.NF(first.ID).DMABank
+	if _, err := d.Teardown(first.ID); err != nil {
+		t.Fatal(err)
+	}
+	if bank.Owner() != mem.Free {
+		t.Fatalf("torn-down NF still owns DMA bank: %d", bank.Owner())
+	}
+	spec.DMAWindow = dma.NewHostRegion(64 << 10)
+	second, err := d.Launch(spec)
+	if err != nil {
+		t.Fatalf("relaunch on the same DMA core: %v", err)
+	}
+	if got := d.NF(second.ID).DMABank; got != bank || got.Owner() != second.ID {
+		t.Fatalf("DMA bank owner = %d, want the new NF %d", got.Owner(), second.ID)
+	}
+}
+
 func TestAcceleratorBindingThroughLaunch(t *testing.T) {
 	d := newDevice(t)
 	spec := basicSpec()

@@ -81,9 +81,6 @@ func NewBank(capacity int) *Bank {
 	return &Bank{capacity: capacity}
 }
 
-// Capacity returns the maximum number of entries.
-func (b *Bank) Capacity() int { return b.capacity }
-
 // Len returns the number of installed entries.
 func (b *Bank) Len() int { return len(b.entries) }
 

@@ -1,10 +1,7 @@
-// Streaming trace generation. A Stream yields (flowIdx, packet) pairs
-// one at a time in O(1) memory, and its position is a serializable
+// Streaming trace positions. A CAIDAStream's position is a serializable
 // Cursor: Seek(Cursor()) restores the generator exactly, so a replay can
 // be checkpointed mid-window and resumed byte-identically (the engine's
-// sharded runner builds on this). PoolStream is the streaming form of
-// Pool — draw-for-draw identical to NextPacket/Frames — and CAIDAStream
-// implements the same interface for the arrival-process trace.
+// sharded runner builds on this).
 package trace
 
 import (
@@ -14,19 +11,6 @@ import (
 	"snic/internal/pkt"
 	"snic/internal/sim"
 )
-
-// Stream is a deterministic packet generator with a seekable position.
-// Next yields the next packet's flow index and the packet itself,
-// returning false when the stream is exhausted (or, for horizon-based
-// streams like CAIDAStream, drained up to the advanced horizon). Pos
-// counts packets yielded. Cursor captures the full generator position;
-// Seek restores it on a stream constructed with the same parameters.
-type Stream interface {
-	Next() (int, pkt.Packet, bool)
-	Pos() uint64
-	Cursor() Cursor
-	Seek(Cursor) error
-}
 
 // CursorVersion is the serialization version stamped into every Cursor.
 const CursorVersion = 1
@@ -64,127 +48,6 @@ func makeCursor(kind string, pos uint64, data any) Cursor {
 	return Cursor{Version: CursorVersion, Kind: kind, Pos: pos, Data: raw}
 }
 
-// PoolStream draws packets from a PoolTemplate's flow set exactly like a
-// Pool, but as a bounded, seekable Stream with a reused payload buffer.
-// With a fixed payload length it reproduces Pool.NextPacket's draw order;
-// in IMIX mode (fixedLen 0) it reproduces Pool.Frames' order, where the
-// length draw and the payload bytes share one RNG stream. The returned
-// packet's Payload aliases an internal buffer overwritten by the next
-// Next call.
-type PoolStream struct {
-	flows    []pkt.FiveTuple
-	zipf     *sim.Zipf
-	zipfRng  *sim.Rand
-	rng      *sim.Rand // payload bytes, and IMIX lengths when fixedLen == 0
-	fixedLen int
-	limit    uint64 // packets to yield; 0 = unbounded
-	pos      uint64
-	buf      []byte
-}
-
-// Stream instantiates the template as a PoolStream whose draws match the
-// template's Pool() instances. fixedLen > 0 fixes every payload length
-// (NextPacket order); fixedLen == 0 draws IMIX lengths (Frames order).
-func (t *PoolTemplate) Stream(fixedLen int) *PoolStream {
-	return t.streamSeeded(t.zipfSeed, t.rngSeed, fixedLen)
-}
-
-// Shards splits the template into k independent PoolStreams over the same
-// flow set. Shard seeds come from sim.DeriveSeed(base, label, "s<i>", …),
-// so each shard's sampling and payload streams are pure functions of
-// (base, label, shard index) — independent of worker scheduling — and a
-// deterministic merge in shard order is reproducible anywhere.
-func (t *PoolTemplate) Shards(base uint64, label string, k, fixedLen int) []*PoolStream {
-	shards := make([]*PoolStream, k)
-	for i := range shards {
-		sid := fmt.Sprintf("s%03d", i)
-		shards[i] = t.streamSeeded(
-			sim.DeriveSeed(base, label, sid, "zipf"),
-			sim.DeriveSeed(base, label, sid, "payload"),
-			fixedLen,
-		)
-	}
-	return shards
-}
-
-func (t *PoolTemplate) streamSeeded(zipfSeed, rngSeed uint64, fixedLen int) *PoolStream {
-	zr := sim.NewRand(zipfSeed)
-	return &PoolStream{
-		flows:    t.flows,
-		zipf:     t.zipf.WithRand(zr),
-		zipfRng:  zr,
-		rng:      sim.NewRand(rngSeed),
-		fixedLen: fixedLen,
-	}
-}
-
-// Limit bounds the stream to n packets total and returns it (builder
-// style). Zero means unbounded.
-func (s *PoolStream) Limit(n uint64) *PoolStream {
-	s.limit = n
-	return s
-}
-
-// Next yields the next packet, or false once the Limit is reached.
-func (s *PoolStream) Next() (int, pkt.Packet, bool) {
-	if s.limit > 0 && s.pos >= s.limit {
-		return 0, pkt.Packet{}, false
-	}
-	n := s.fixedLen
-	if n == 0 {
-		n = IMIXLen(s.rng)
-	}
-	i := s.zipf.Next()
-	if cap(s.buf) < n {
-		s.buf = make([]byte, n)
-	}
-	payload := s.buf[:n]
-	s.rng.Bytes(payload)
-	s.pos++
-	return i, pkt.Packet{
-		SrcMAC:  pkt.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)},
-		DstMAC:  pkt.MAC{0x02, 0, 0, 0, 0xFF, 0xFE},
-		Tuple:   s.flows[i],
-		Payload: payload,
-	}, true
-}
-
-// Pos returns the number of packets yielded.
-func (s *PoolStream) Pos() uint64 { return s.pos }
-
-type poolCursor struct {
-	ZipfState    uint64 `json:"zipf_state"`
-	PayloadState uint64 `json:"payload_state"`
-}
-
-// Cursor captures the stream position: both RNG states plus the packet
-// count. The flow set and CDF are construction parameters, not position,
-// so a resuming process rebuilds the stream from the same template and
-// Seeks.
-func (s *PoolStream) Cursor() Cursor {
-	return makeCursor("pool", s.pos, poolCursor{
-		ZipfState:    s.zipfRng.State(),
-		PayloadState: s.rng.State(),
-	})
-}
-
-// Seek restores a position captured by Cursor on a stream built from the
-// same template (and shard seed — the cursor carries the RNG states, so
-// mismatched construction shows up as divergent draws, not an error).
-func (s *PoolStream) Seek(c Cursor) error {
-	if err := c.check("pool"); err != nil {
-		return err
-	}
-	var pc poolCursor
-	if err := json.Unmarshal(c.Data, &pc); err != nil {
-		return fmt.Errorf("trace: pool cursor: %w", err)
-	}
-	s.zipfRng.SetState(pc.ZipfState)
-	s.rng.SetState(pc.PayloadState)
-	s.pos = c.Pos
-	return nil
-}
-
 type caidaCursor struct {
 	RngState   uint64        `json:"rng_state"`
 	Elapsed    float64       `json:"elapsed"`
@@ -212,7 +75,12 @@ func (c *CAIDAStream) Cursor() Cursor {
 }
 
 // Seek restores a position captured by Cursor: the next Next call yields
-// exactly the packet the captured stream would have yielded.
+// exactly the packet the captured stream would have yielded. The cursor
+// must come from a stream with this stream's horizon (same budget and
+// per-flow count, or the same Advance history), and its counters must
+// describe a position that Next can reach. A cursor that fails either
+// check is rejected before anything changes, so the stream stays where
+// it was.
 func (c *CAIDAStream) Seek(cur Cursor) error {
 	if err := cur.check("caida"); err != nil {
 		return err
@@ -221,15 +89,42 @@ func (c *CAIDAStream) Seek(cur Cursor) error {
 	if err := json.Unmarshal(cur.Data, &cc); err != nil {
 		return fmt.Errorf("trace: caida cursor: %w", err)
 	}
+	if cc.Elapsed != c.elapsed || cc.Target != c.target || cc.PerFlow != c.perFlow {
+		return fmt.Errorf("trace: caida cursor is for horizon (%g s, %d flows, %d per flow), stream has (%g s, %d flows, %d per flow)",
+			cc.Elapsed, cc.Target, cc.PerFlow, c.elapsed, c.target, c.perFlow)
+	}
+	if err := cc.validPosition(cur.Pos); err != nil {
+		return err
+	}
 	c.rng.SetState(cc.RngState)
-	c.elapsed = cc.Elapsed
-	c.target = cc.Target
 	c.totalFlows = cc.TotalFlows
-	c.perFlow = cc.PerFlow
 	c.remaining = cc.Remaining
 	c.curIdx = cc.CurIdx
 	c.cur = cc.Cur
 	c.pos = cur.Pos
+	return nil
+}
+
+// validPosition reports whether Next can reach the cursor's counters:
+// no more flows than the horizon holds, the in-flight flow is the last
+// one emitted with at most PerFlow packets left, and every emitted flow
+// has yielded at least one packet. (An Advance that lowers the per-flow
+// count mid-flow leaves more packets in flight than the new count; such
+// a cursor is refused until that flow drains. No caller does this:
+// budget streams never change the count.)
+func (cc caidaCursor) validPosition(pos uint64) error {
+	switch {
+	case cc.TotalFlows > cc.Target:
+		return fmt.Errorf("trace: caida cursor has %d flows past a %d-flow horizon", cc.TotalFlows, cc.Target)
+	case cc.Remaining < 0 || cc.Remaining > cc.PerFlow:
+		return fmt.Errorf("trace: caida cursor has %d packets left of a %d-packet flow", cc.Remaining, cc.PerFlow)
+	case cc.TotalFlows == 0 && (cc.CurIdx != 0 || cc.Remaining != 0):
+		return fmt.Errorf("trace: caida cursor has flow %d in flight before any flow", cc.CurIdx)
+	case cc.TotalFlows > 0 && (cc.CurIdx < 0 || uint64(cc.CurIdx) != cc.TotalFlows-1):
+		return fmt.Errorf("trace: caida cursor has flow %d in flight after %d flows", cc.CurIdx, cc.TotalFlows)
+	case pos < cc.TotalFlows:
+		return fmt.Errorf("trace: caida cursor at packet %d after %d flows", pos, cc.TotalFlows)
+	}
 	return nil
 }
 
@@ -259,9 +154,3 @@ func ShardShare(total uint64, i, k int) uint64 {
 	}
 	return share
 }
-
-// Compile-time interface checks: both generators are Streams.
-var (
-	_ Stream = (*PoolStream)(nil)
-	_ Stream = (*CAIDAStream)(nil)
-)

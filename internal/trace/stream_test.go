@@ -3,57 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"snic/internal/sim"
 )
-
-// TestPoolStreamMatchesPoolFixedLen pins the streaming generator to the
-// materialized Pool draw-for-draw: same flow indices, tuples, MACs, and
-// payload bytes for a fixed payload length.
-func TestPoolStreamMatchesPoolFixedLen(t *testing.T) {
-	tmpl := NewICTFTemplate(sim.NewRand(21), 300)
-	pool := tmpl.Pool()
-	st := tmpl.Stream(64).Limit(2000)
-	n := 0
-	for {
-		si, sp, ok := st.Next()
-		if !ok {
-			break
-		}
-		pi, pp := pool.NextPacket(64)
-		if si != pi {
-			t.Fatalf("draw %d: flow %d vs %d", n, si, pi)
-		}
-		if sp.Tuple != pp.Tuple || sp.SrcMAC != pp.SrcMAC || sp.DstMAC != pp.DstMAC {
-			t.Fatalf("draw %d: header mismatch", n)
-		}
-		if !bytes.Equal(sp.Payload, pp.Payload) {
-			t.Fatalf("draw %d: payload mismatch", n)
-		}
-		n++
-	}
-	if n != 2000 {
-		t.Fatalf("stream yielded %d packets, want 2000", n)
-	}
-}
-
-// TestPoolStreamMatchesFrames pins IMIX mode to Pool.Frames, where the
-// length draw and payload bytes interleave on one RNG stream.
-func TestPoolStreamMatchesFrames(t *testing.T) {
-	tmpl := NewICTFTemplate(sim.NewRand(22), 200)
-	frames := tmpl.Pool().Frames(500)
-	st := tmpl.Stream(0).Limit(500)
-	for i, want := range frames {
-		_, p, ok := st.Next()
-		if !ok {
-			t.Fatalf("stream exhausted at %d", i)
-		}
-		if got := p.Marshal(); !bytes.Equal(got, want) {
-			t.Fatalf("frame %d differs", i)
-		}
-	}
-}
 
 // TestNextPacketBufMatchesNextPacket pins the buffer-reusing variant to
 // the allocating one.
@@ -67,57 +21,6 @@ func TestNextPacketBufMatchesNextPacket(t *testing.T) {
 		if ai != bi || ap.Tuple != bp.Tuple || !bytes.Equal(ap.Payload, bp.Payload) {
 			t.Fatalf("draw %d diverges", i)
 		}
-	}
-}
-
-// TestPoolStreamCursorResume checks that Seek(Cursor()) — including a
-// JSON round-trip, as a checkpoint file would do — resumes the stream
-// byte-identically mid-window.
-func TestPoolStreamCursorResume(t *testing.T) {
-	tmpl := NewICTFTemplate(sim.NewRand(24), 150)
-	full := tmpl.Stream(0).Limit(1000)
-	var wantFrames [][]byte
-	cut := 437
-	var cur Cursor
-	for i := 0; i < 1000; i++ {
-		if i == cut {
-			cur = full.Cursor()
-		}
-		_, p, ok := full.Next()
-		if !ok {
-			t.Fatalf("exhausted at %d", i)
-		}
-		if i >= cut {
-			wantFrames = append(wantFrames, p.Marshal())
-		}
-	}
-
-	raw, err := json.Marshal(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded Cursor
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	resumed := tmpl.Stream(0).Limit(1000)
-	if err := resumed.Seek(decoded); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Pos() != uint64(cut) {
-		t.Fatalf("pos = %d, want %d", resumed.Pos(), cut)
-	}
-	for i, want := range wantFrames {
-		_, p, ok := resumed.Next()
-		if !ok {
-			t.Fatalf("resumed stream exhausted at %d", i)
-		}
-		if !bytes.Equal(p.Marshal(), want) {
-			t.Fatalf("resumed frame %d differs", i)
-		}
-	}
-	if _, _, ok := resumed.Next(); ok {
-		t.Fatal("resumed stream ignored the limit")
 	}
 }
 
@@ -176,52 +79,95 @@ func TestCAIDACursorResume(t *testing.T) {
 }
 
 func TestCursorKindMismatch(t *testing.T) {
-	tmpl := NewICTFTemplate(sim.NewRand(26), 50)
-	ps := tmpl.Stream(64)
 	cs := NewCAIDABudget(sim.NewRand(26), 10, 1)
-	if err := ps.Seek(cs.Cursor()); err == nil {
-		t.Fatal("pool stream accepted a caida cursor")
-	}
-	if err := cs.Seek(ps.Cursor()); err == nil {
+	if err := cs.Seek(makeCursor("pool", 0, struct{}{})); err == nil {
 		t.Fatal("caida stream accepted a pool cursor")
 	}
-	bad := ps.Cursor()
+	bad := cs.Cursor()
 	bad.Version = 99
-	if err := ps.Seek(bad); err == nil {
+	if err := cs.Seek(bad); err == nil {
 		t.Fatal("accepted unknown cursor version")
 	}
 }
 
-// TestPoolShards: shard streams are pure functions of (base, label,
-// index) — rebuilt shards replay identically — and distinct shards draw
-// decorrelated payload/sampling streams over the shared flow set.
-func TestPoolShards(t *testing.T) {
-	tmpl := NewICTFTemplate(sim.NewRand(27), 120)
-	a := tmpl.Shards(7, "sweep", 4, 64)
-	b := tmpl.Shards(7, "sweep", 4, 64)
-	if len(a) != 4 || len(b) != 4 {
-		t.Fatalf("shard counts %d/%d", len(a), len(b))
+// TestCAIDASeekRejects covers each way a cursor can fail to fit the
+// stream it is applied to: another horizon, or counters that Next cannot
+// reach. Every rejection leaves the stream exactly where it was.
+func TestCAIDASeekRejects(t *testing.T) {
+	src := NewCAIDABudget(sim.NewRand(28), 40, 5)
+	for i := 0; i < 17; i++ {
+		src.Next()
 	}
-	for s := range a {
-		for i := 0; i < 200; i++ {
-			ai, ap, _ := a[s].Next()
-			bi, bp, _ := b[s].Next()
-			if ai != bi || !bytes.Equal(ap.Payload, bp.Payload) {
-				t.Fatalf("shard %d not reproducible at draw %d", s, i)
+	good := decodeCAIDA(t, src.Cursor())
+	cases := map[string]func(*caidaCursor, *uint64){
+		"other budget":       func(c *caidaCursor, _ *uint64) { c.Target = 41 },
+		"other per-flow":     func(c *caidaCursor, _ *uint64) { c.PerFlow = 4 },
+		"other elapsed":      func(c *caidaCursor, _ *uint64) { c.Elapsed = 1 },
+		"flows past horizon": func(c *caidaCursor, _ *uint64) { c.TotalFlows = 41 },
+		"negative remaining": func(c *caidaCursor, _ *uint64) { c.Remaining = -1 },
+		"remaining too big":  func(c *caidaCursor, _ *uint64) { c.Remaining = 6 },
+		"stale flow index":   func(c *caidaCursor, _ *uint64) { c.CurIdx = 1 },
+		"negative index":     func(c *caidaCursor, _ *uint64) { c.CurIdx = -1 },
+		"flow before start":  func(c *caidaCursor, _ *uint64) { c.TotalFlows, c.CurIdx, c.Remaining = 0, 2, 0 },
+		"pos behind flows":   func(_ *caidaCursor, pos *uint64) { *pos = 3 },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			dst := NewCAIDABudget(sim.NewRand(29), 40, 5)
+			dst.Next()
+			before := dst.Cursor()
+			cc, pos := good, src.Pos()
+			mutate(&cc, &pos)
+			if err := dst.Seek(makeCursor("caida", pos, cc)); err == nil {
+				t.Fatal("accepted")
+			}
+			if after := dst.Cursor(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("rejected cursor moved the stream:\n%+v\n%+v", before, after)
+			}
+		})
+	}
+	dst := NewCAIDABudget(sim.NewRand(29), 40, 5)
+	if err := dst.Seek(src.Cursor()); err != nil {
+		t.Fatalf("unmutated cursor rejected: %v", err)
+	}
+}
+
+func decodeCAIDA(t *testing.T, c Cursor) caidaCursor {
+	t.Helper()
+	var cc caidaCursor
+	if err := json.Unmarshal(c.Data, &cc); err != nil {
+		t.Fatal(err)
+	}
+	return cc
+}
+
+// FuzzCAIDASeek feeds arbitrary cursors to a budget stream part-way
+// through a flow; its seed corpus is testdata/fuzz/FuzzCAIDASeek. A rejected cursor must leave the stream unchanged, and
+// after any Seek, Next must neither panic nor run past the horizon.
+func FuzzCAIDASeek(f *testing.F) {
+	f.Fuzz(func(t *testing.T, version int, kind string, pos uint64, data []byte) {
+		st := NewCAIDABudget(sim.NewRand(30), 30, 4)
+		for i := 0; i < 6; i++ {
+			st.Next()
+		}
+		before := st.Cursor()
+		err := st.Seek(Cursor{Version: version, Kind: kind, Pos: pos, Data: data})
+		if err != nil {
+			if after := st.Cursor(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("rejected cursor moved the stream: %v", err)
 			}
 		}
-	}
-	// Distinct shards must not replay each other's sampling stream.
-	x := tmpl.Shards(7, "sweep", 2, 64)
-	identical := 0
-	for i := 0; i < 200; i++ {
-		xi, _, _ := x[0].Next()
-		yi, _, _ := x[1].Next()
-		if xi == yi {
-			identical++
+		// 30 flows of 4 packets: no valid position has more left.
+		for n := 0; ; n++ {
+			if _, _, ok := st.Next(); !ok {
+				break
+			}
+			if n > 30*4 {
+				t.Fatal("Next ran past the horizon")
+			}
 		}
-	}
-	if identical == 200 {
-		t.Fatal("shards 0 and 1 sample identically")
-	}
+		if st.TotalFlows() > 30 {
+			t.Fatalf("%d flows from a 30-flow budget", st.TotalFlows())
+		}
+	})
 }

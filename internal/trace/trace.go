@@ -26,15 +26,10 @@ type Pool struct {
 	buf   []byte // NextPacketBuf's reused payload buffer
 }
 
-// NewPool creates n random flows with Zipf(skew) popularity.
-func NewPool(rng *sim.Rand, n int, skew float64) *Pool {
-	return NewPoolTemplate(rng, n, skew).Pool()
-}
-
 // PoolTemplate is the expensive, immutable part of a Pool — the flow set
 // and the Zipf CDF — captured together with the seeds of the sampler and
-// payload streams. Building a template costs the same as NewPool, but
-// Pool() then stamps out independent, identically-seeded Pools in O(1):
+// payload streams. Building one is the expensive step; Pool() then
+// stamps out independent, identically-seeded Pools in O(1):
 // the flows slice and CDF are shared read-only while each Pool gets its
 // own mutable RNGs. The experiment harness memoizes templates per
 // (seed, size) so repeated sweep points stop rebuilding identical pools.
@@ -45,9 +40,9 @@ type PoolTemplate struct {
 	rngSeed  uint64
 }
 
-// NewPoolTemplate builds the template with exactly NewPool's derivation:
-// the flow loop consumes rng first, then the sampler and payload seeds
-// are forked in the same order NewPool forks its sub-streams.
+// NewPoolTemplate draws n distinct random flows with Zipf(skew)
+// popularity: the flow loop consumes rng first, then the sampler and
+// payload seeds are forked from it, in that order.
 func NewPoolTemplate(rng *sim.Rand, n int, skew float64) *PoolTemplate {
 	flows := make([]pkt.FiveTuple, n)
 	seen := make(map[[16]byte]bool, n)
@@ -72,13 +67,9 @@ func NewPoolTemplate(rng *sim.Rand, n int, skew float64) *PoolTemplate {
 	}
 }
 
-// NumFlows returns the template's pool size.
-func (t *PoolTemplate) NumFlows() int { return len(t.flows) }
-
 // Pool instantiates a fresh Pool from the template. Every call returns a
 // Pool whose sampling and payload streams start from the same seeds, so
-// all instances are byte-identical to each other and to the Pool that
-// NewPool(rng, n, skew) would have built from the template's rng.
+// all instances are byte-identical to each other.
 func (t *PoolTemplate) Pool() *Pool {
 	return t.SeededPool(t.zipfSeed, t.rngSeed)
 }

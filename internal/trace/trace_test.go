@@ -10,7 +10,7 @@ import (
 )
 
 func TestPoolFlowsDistinct(t *testing.T) {
-	p := NewPool(sim.NewRand(1), 1000, 1.1)
+	p := NewPoolTemplate(sim.NewRand(1), 1000, 1.1).Pool()
 	seen := map[[16]byte]bool{}
 	for i := 0; i < p.NumFlows(); i++ {
 		k := p.Flow(i).Key()

@@ -110,3 +110,34 @@ func TestDocumentedBinariesExist(t *testing.T) {
 		}
 	}
 }
+
+// internalPath matches an internal/... path in prose: a package
+// (internal/trace), a file (internal/trace/rules.go), or a package
+// followed by an identifier (internal/exp.Runner.Figure5a).
+var internalPath = regexp.MustCompile(`(?:^|[^\w/.-])(internal(?:/[\w.-]+)+)`)
+
+// TestDocsNameExistingPackages fails when README, DESIGN or EXPERIMENTS
+// names an internal/... package or file that is not in the tree, so
+// deleting a package cannot leave its description behind.
+func TestDocsNameExistingPackages(t *testing.T) {
+	for _, path := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(buf), "\n") {
+			for _, m := range internalPath.FindAllStringSubmatch(line, -1) {
+				name := strings.TrimRight(m[1], ".")
+				if _, err := os.Stat(name); err == nil {
+					continue
+				}
+				// internal/exp.Runner.Figure5a names the package internal/exp.
+				pkg, _, ok := strings.Cut(name, ".")
+				if info, err := os.Stat(pkg); ok && err == nil && info.IsDir() {
+					continue
+				}
+				t.Errorf("%s:%d names %s, which is not in the tree", path, i+1, name)
+			}
+		}
+	}
+}
