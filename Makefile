@@ -80,15 +80,15 @@ golden:
 
 # Repository-level benchmarks: one per table/figure, plus ablations and
 # the engine parallel-vs-serial speedup pair. The run is recorded as a
-# stdlib-only JSON summary in the current PR's BENCH file (section
-# "post" by convention; record a pre-change tree with
-# BENCH_SECTION=baseline) and compared with `snicperf` — see
-# EXPERIMENTS.md "Benchmark trajectory".
-BENCH_FILE ?= BENCH_20.json
+# stdlib-only JSON summary in BENCH_<BENCH_PR>.json (section "post" by
+# convention; record a pre-change tree with BENCH_SECTION=baseline) and
+# compared with `snicperf` — see EXPERIMENTS.md "Benchmark trajectory".
+# BENCH_PR has no default, so a bare run cannot overwrite an old ledger.
+BENCH_FILE = BENCH_$(BENCH_PR).json
 BENCH_SECTION ?= post
-BENCH_PR ?= 20
 BENCH_PATTERN ?= .
 .PHONY: bench
 bench:
+	@[ -n "$(BENCH_PR)" ] || { echo "usage: make bench BENCH_PR=<n> [BENCH_SECTION=baseline|post] [BENCH_PATTERN=<regexp>]" >&2; exit 2; }
 	$(GO) test -bench='$(BENCH_PATTERN)' -benchmem . | tee /dev/stderr | \
 		$(GO) run ./cmd/snicperf -record -o $(BENCH_FILE) -section $(BENCH_SECTION) -pr $(BENCH_PR)

@@ -14,7 +14,8 @@
 // derived from its stable job key, never from scheduling order), so
 // -workers trades wall-clock only. -v reports per-sweep engine metrics
 // on stderr: job counts, wall time vs summed job time, and the slowest
-// configuration point.
+// configuration point. -cpuprofile FILE writes a CPU profile of the run
+// for go tool pprof; like -v, it never changes stdout.
 //
 // Observability (internal/obs) rides along on demand: -trace FILE
 // writes a Chrome-trace-event JSON file of cycle-stamped spans
@@ -50,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -233,7 +235,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("snicbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	experiment := fs.String("experiment", "all", "which experiment to run (see -list)")
@@ -248,6 +250,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	progressEvery := fs.Duration("progress", 0, "print a live progress line on stderr every interval (e.g. 2s; wall-clock telemetry, never in results)")
 	checkpoint := fs.String("checkpoint", "", "replay: persist/resume shard cursors at FILE")
 	stopAfter := fs.Uint64("stop-after", 0, "replay: interrupt each shard after N packets this run (exit 3)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to FILE (go tool pprof)")
 	list := fs.Bool("list", false, "list experiment names and exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -281,6 +284,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *metricsFormat != "text" && *metricsFormat != "prom" {
 		fmt.Fprintf(stderr, "snicbench: unknown -metrics-format %q (want text or prom)\n", *metricsFormat)
 		return 2
+	}
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintln(stderr, "snicbench:", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintln(stderr, "snicbench: cpuprofile:", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(stderr, "snicbench: cpuprofile:", err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}()
 	}
 
 	b := &bench{

@@ -92,6 +92,20 @@ func TestBoundedTraceIsRider(t *testing.T) {
 	}
 }
 
+// TestCPUProfileIsRider pins -cpuprofile as a pure rider: it writes a
+// non-empty profile and leaves stdout byte-identical.
+func TestCPUProfileIsRider(t *testing.T) {
+	plain, _ := mustRun(t, "-experiment", "table6", "-scale", "small")
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	out, _ := mustRun(t, "-experiment", "table6", "-scale", "small", "-cpuprofile", path)
+	if out != plain {
+		t.Errorf("-cpuprofile changed the table6 output:\n%s\nwant:\n%s", out, plain)
+	}
+	if readFile(t, path) == "" {
+		t.Error("-cpuprofile wrote an empty profile")
+	}
+}
+
 // TestFig5DevWorkerInvariance runs the shared co-tenancy simulator
 // across every device model: fig5dev's table must not move with
 // -metrics or -workers, nor its metric dump with -workers.

@@ -60,27 +60,25 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses())
 }
 
-// lineMeta is the bookkeeping half of a cache line. Tags live in their
-// own slice (structure-of-arrays) so the way-probe loop — the hottest
-// loop in the whole simulator — scans contiguous uint64s and only loads
-// the metadata of a tag that matched.
-type lineMeta struct {
-	used   uint64 // LRU timestamp
-	domain int32
-	valid  bool
-	dirty  bool
-}
+// validBit marks a resident line's key. New rejects line sizes below 2,
+// so no tag reaches bit 63 and tag|validBit is unambiguous.
+const validBit = 1 << 63
 
-// Cache is one level of set-associative cache.
+// Cache is one level of set-associative cache. Lines live in three
+// parallel slices, row-major by set, so a probe is one compare per way
+// over contiguous uint64s. Access scans only the domain's way range, and
+// that one scan is exact: under Shared the range is every way and a tag
+// is never resident twice in a set (a fill follows a miss over every
+// way); under Static a domain's ways only hold lines it filled.
 type Cache struct {
 	name     string
 	lineSize uint64
 	sets     int
 	ways     int
-	policy   Policy
 	domains  int
-	tags     []uint64   // sets*ways, row-major by set
-	meta     []lineMeta // parallel to tags
+	keys     []uint64 // sets*ways: tag|validBit, 0 when invalid
+	used     []uint64 // LRU stamp, 0 when invalid (tick is bumped first, so valid >= 1)
+	owner    []int32  // filling domain: for eviction attribution, FlushDomain, OccupancyOf
 	tick     uint64
 	stats    []Stats
 	// pow2 indexing: when both lineSize and sets are powers of two (every
@@ -112,7 +110,7 @@ type Config struct {
 // Static policy, Ways must be >= Domains so each domain gets at least one
 // private way.
 func New(cfg Config) (*Cache, error) {
-	if cfg.LineSize == 0 || cfg.Ways <= 0 || cfg.Size == 0 {
+	if cfg.LineSize < 2 || cfg.Ways <= 0 || cfg.Size == 0 {
 		return nil, fmt.Errorf("cache: bad config %+v", cfg)
 	}
 	if cfg.Domains < 1 {
@@ -131,10 +129,10 @@ func New(cfg Config) (*Cache, error) {
 		lineSize: cfg.LineSize,
 		sets:     sets,
 		ways:     cfg.Ways,
-		policy:   cfg.Policy,
 		domains:  cfg.Domains,
-		tags:     make([]uint64, int(lines)),
-		meta:     make([]lineMeta, int(lines)),
+		keys:     make([]uint64, int(lines)),
+		used:     make([]uint64, int(lines)),
+		owner:    make([]int32, int(lines)),
 		stats:    make([]Stats, cfg.Domains),
 	}
 	if cfg.LineSize&(cfg.LineSize-1) == 0 && sets&(sets-1) == 0 {
@@ -143,7 +141,7 @@ func New(cfg Config) (*Cache, error) {
 		c.setShift = uint(bits.TrailingZeros64(uint64(sets)))
 		c.setMask = uint64(sets) - 1
 	}
-	c.computeRanges()
+	c.computeRanges(cfg.Policy)
 	return c, nil
 }
 
@@ -160,10 +158,10 @@ func (c *Cache) locate(pa mem.Addr) (int, uint64) {
 
 // computeRanges builds the per-domain way-range table from the policy:
 // every way under Shared, an equal split under Static.
-func (c *Cache) computeRanges() {
+func (c *Cache) computeRanges(policy Policy) {
 	c.ranges = make([][2]int32, c.domains)
 	for d := 0; d < c.domains; d++ {
-		if c.policy == Shared {
+		if policy == Shared {
 			c.ranges[d] = [2]int32{0, int32(c.ways)}
 			continue
 		}
@@ -182,9 +180,6 @@ func (c *Cache) Sets() int { return c.sets }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
-
-// LineSize returns the line size in bytes.
-func (c *Cache) LineSize() uint64 { return c.lineSize }
 
 // Stats returns the accumulated statistics for a domain.
 func (c *Cache) Stats(domain int) Stats { return c.stats[domain] }
@@ -210,25 +205,24 @@ func (c *Cache) Observe(reg *obs.Registry, device string) {
 
 // Access looks up the line containing pa on behalf of domain. It returns
 // true on a hit. On a miss the line is filled (evicting the domain's LRU
-// victim within its permitted ways) and false is returned.
+// victim within its permitted ways) and false is returned. The cache
+// keeps no dirty state, so write does not change the outcome.
+//
+// Under Shared a domain hits on a line any domain brought in (a shared
+// physical line) — this cross-domain visibility is itself part of the
+// side channel, and the reason Intel CAT-style soft partitioning is
+// insufficient. Under Static a domain only ever sees its own ways.
 func (c *Cache) Access(pa mem.Addr, domain int, write bool) bool {
 	c.tick++
 	set, tag := c.locate(pa)
 	base := set * c.ways
 	r := c.ranges[domain]
 	lo, hi := base+int(r[0]), base+int(r[1])
+	key := tag | validBit
 
-	// Probe: under Shared a domain can hit on any way (Intel CAT-style
-	// "soft" partitioning would hit across regions too — the paper notes
-	// this is why CAT is insufficient). Under Static, hits can only come
-	// from the domain's own ways, because no other placement ever occurs.
-	// The tag compare runs over the contiguous tags slice; metadata is
-	// only consulted on a candidate match.
-	for i := lo; i < hi; i++ {
-		m := &c.meta[i]
-		if c.tags[i] == tag && m.valid && int(m.domain) == domain {
-			m.used = c.tick
-			m.dirty = m.dirty || write
+	for i, k := range c.keys[lo:hi] {
+		if k == key {
+			c.used[lo+i] = c.tick
 			c.stats[domain].Hits++
 			if c.obsHits != nil {
 				c.obsHits[domain].Inc()
@@ -236,46 +230,26 @@ func (c *Cache) Access(pa mem.Addr, domain int, write bool) bool {
 			return true
 		}
 	}
-	// Shared policy: a line brought in by another domain still serves a
-	// hit (shared physical line) — this cross-domain visibility is itself
-	// part of the side channel.
-	if c.policy == Shared {
-		for i := base; i < base+c.ways; i++ {
-			m := &c.meta[i]
-			if c.tags[i] == tag && m.valid {
-				m.used = c.tick
-				m.dirty = m.dirty || write
-				c.stats[domain].Hits++
-				if c.obsHits != nil {
-					c.obsHits[domain].Inc()
-				}
-				return true
-			}
-		}
-	}
 
-	// Miss: fill into the LRU way of the permitted range.
-	victim := lo
-	for i := lo; i < hi; i++ {
-		m := &c.meta[i]
-		if !m.valid {
-			victim = i
-			break
-		}
-		if m.used < c.meta[victim].used {
-			victim = i
+	// Miss: fill the lowest-stamped way (first invalid, else LRU).
+	victim, oldest := 0, ^uint64(0)
+	for i, u := range c.used[lo:hi] {
+		if u < oldest {
+			victim, oldest = i, u
 		}
 	}
+	v := lo + victim
 	if c.obsMisses != nil {
 		c.obsMisses[domain].Inc()
 		// Evictions are charged to the domain losing the line, which is
 		// where cross-domain interference shows up under Shared.
-		if v := c.meta[victim]; v.valid {
-			c.obsEvictions[v.domain].Inc()
+		if c.keys[v] != 0 {
+			c.obsEvictions[c.owner[v]].Inc()
 		}
 	}
-	c.tags[victim] = tag
-	c.meta[victim] = lineMeta{used: c.tick, domain: int32(domain), valid: true, dirty: write}
+	c.keys[v] = key
+	c.used[v] = c.tick
+	c.owner[v] = int32(domain)
 	c.stats[domain].Misses++
 	return false
 }
@@ -285,8 +259,8 @@ func (c *Cache) Access(pa mem.Addr, domain int, write bool) bool {
 func (c *Cache) Contains(pa mem.Addr) bool {
 	set, tag := c.locate(pa)
 	base := set * c.ways
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == tag && c.meta[i].valid {
+	for _, k := range c.keys[base : base+c.ways] {
+		if k == tag|validBit {
 			return true
 		}
 	}
@@ -299,10 +273,9 @@ func (c *Cache) Contains(pa mem.Addr) bool {
 // lines flushed.
 func (c *Cache) FlushDomain(domain int) int {
 	n := 0
-	for i := range c.meta {
-		if c.meta[i].valid && int(c.meta[i].domain) == domain {
-			c.meta[i] = lineMeta{}
-			c.tags[i] = 0
+	for i, k := range c.keys {
+		if k != 0 && int(c.owner[i]) == domain {
+			c.keys[i], c.used[i], c.owner[i] = 0, 0, 0
 			n++
 		}
 	}
@@ -319,8 +292,8 @@ func (c *Cache) ResetStats() {
 // OccupancyOf returns how many lines domain currently holds.
 func (c *Cache) OccupancyOf(domain int) int {
 	n := 0
-	for _, m := range c.meta {
-		if m.valid && int(m.domain) == domain {
+	for i, k := range c.keys {
+		if k != 0 && int(c.owner[i]) == domain {
 			n++
 		}
 	}

@@ -25,8 +25,8 @@ func small(t *testing.T, policy Policy, domains int) *Cache {
 
 func TestGeometry(t *testing.T) {
 	c := small(t, Shared, 1)
-	if c.Sets() != 32 || c.Ways() != 4 || c.LineSize() != 64 {
-		t.Fatalf("geometry: sets=%d ways=%d line=%d", c.Sets(), c.Ways(), c.LineSize())
+	if c.Sets() != 32 || c.Ways() != 4 {
+		t.Fatalf("geometry: sets=%d ways=%d", c.Sets(), c.Ways())
 	}
 }
 
@@ -36,6 +36,10 @@ func TestBadConfigs(t *testing.T) {
 	}
 	if _, err := New(Config{Size: 1 << 10, LineSize: 64, Ways: 0}); err == nil {
 		t.Fatal("zero ways accepted")
+	}
+	// A 1-byte line would let a tag reach the valid bit.
+	if _, err := New(Config{Size: 1 << 10, LineSize: 1, Ways: 4}); err == nil {
+		t.Fatal("1-byte lines accepted")
 	}
 	// Static with more domains than ways is impossible.
 	if _, err := New(Config{Size: 8 << 10, LineSize: 64, Ways: 2, Policy: Static, Domains: 4}); err == nil {

@@ -74,7 +74,7 @@ var ictfForkMemo memo.Cache[poolKey, *trace.PoolTemplate]
 // when called as ictfPoolFork(rng.ForkSeed(), flows): ForkSeed consumes
 // the same single draw Fork did, and NewRand(forkSeed) is exactly the
 // generator Fork would have handed to NewICTF. Table 6/8's profiling
-// jobs use this so the six per-NF jobs (and every benchmark iteration)
+// jobs use this so the driven per-NF jobs (and every benchmark iteration)
 // share one flow set + CDF build per (seed, flows).
 func ictfPoolFork(forkSeed uint64, flows int) *trace.Pool {
 	t := ictfForkMemo.Get(poolKey{seed: forkSeed, flows: flows}, func() *trace.PoolTemplate {

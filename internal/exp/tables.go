@@ -156,12 +156,13 @@ type NFProfile struct {
 	MUR                      float64
 }
 
-// ProfileNFs builds the suite at the given scale, drives the stateful NFs
-// with a deterministic workload, and measures every profile. The workload
-// (flow count, packets) scales with cfg so tests stay fast.
+// ProfileNFs builds the suite at the given scale, drives the NFs without
+// a fixed footprint with a deterministic workload, and measures every
+// profile. The workload (flow count, packets) scales with cfg so tests
+// stay fast.
 //
 // It decomposes the Table 6/8 profiling sweep into one engine
-// job per NF. Each job builds its own NF instance and its own packet
+// job per NF. Each job builds its own NF instance and any packet
 // pool from the job-derived RNG; the serial implementation used to
 // thread one pool through all six NFs in table order, which made every
 // profile depend on its predecessors' draws and the pool unshareable
@@ -180,21 +181,24 @@ func (r *Runner) ProfileNFs(cfg nf.SuiteConfig, flows, packets int) ([]NFProfile
 	return runJobs(r, cfg.Seed+17, jobs)
 }
 
-// profileNF drives one freshly built NF with a deterministic workload
+// profileNF drives one freshly built NF, unless its footprint is fixed,
 // and measures its profile. All mutable state (the NF, the pool, the
 // CAIDA stream) is local to this call, so jobs never share instances.
 func profileNF(name string, cfg nf.SuiteConfig, flows, packets int, rng *sim.Rand) (NFProfile, error) {
-	pool := ictfPoolFork(rng.ForkSeed(), flows)
 	f, err := nf.New(name, cfg)
 	if err != nil {
 		return NFProfile{}, err
 	}
-	// Drive stateful NFs so caches/tables/counters populate. The NFs
-	// consume each packet before the next draw, so the pool's reused
-	// payload buffer is safe here.
-	for i := 0; i < packets; i++ {
-		_, p := pool.NextPacketBuf(trace.IMIXLen(rng))
-		f.Process(&p)
+	// Drive stateful NFs so caches/tables/counters populate; a fixed
+	// footprint (DPI, LPM) is what construction charged, and its job
+	// draws nothing else from rng. The NFs consume each packet before the
+	// next draw, so the pool's reused payload buffer is safe here.
+	if !f.FixedFootprint() {
+		pool := ictfPoolFork(rng.ForkSeed(), flows)
+		for i := 0; i < packets; i++ {
+			_, p := pool.NextPacketBuf(trace.IMIXLen(rng))
+			f.Process(&p)
+		}
 	}
 	if name == "Mon" {
 		// The Monitor additionally observes a CAIDA-like window whose

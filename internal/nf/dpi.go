@@ -53,6 +53,10 @@ func (d *DPI) Name() string { return "DPI" }
 // Arena implements NF.
 func (d *DPI) Arena() *mem.Arena { return d.arena }
 
+// FixedFootprint implements NF: the automaton is sized at compile time,
+// and alerts go to an ordinary Go slice, never the arena.
+func (d *DPI) FixedFootprint() bool { return true }
+
 // Automaton exposes the compiled graph (the accelerator model and the
 // ruleset-stealing attack demo both need its size/content).
 func (d *DPI) Automaton() *ac.Automaton { return d.auto }
@@ -73,9 +77,6 @@ func (d *DPI) Process(p *pkt.Packet) Verdict {
 	}
 	return Pass
 }
-
-// WorkingSet implements NF.
-func (d *DPI) WorkingSet() uint64 { return d.auto.MemoryBytes() }
 
 // NewStream implements NF. Each payload byte walks one graph row; the walk
 // is concentrated near the automaton root (shallow states) with a tail of

@@ -52,6 +52,9 @@ func (f *Firewall) Name() string { return "FW" }
 // Arena implements NF.
 func (f *Firewall) Arena() *mem.Arena { return f.arena }
 
+// FixedFootprint implements NF: each new flow's decision is cached.
+func (f *Firewall) FixedFootprint() bool { return false }
+
 // Process implements NF.
 func (f *Firewall) Process(p *pkt.Packet) Verdict {
 	key := hashmap.Key(p.Tuple.Key())
@@ -92,11 +95,6 @@ func (f *Firewall) Process(p *pkt.Packet) Verdict {
 
 // CacheLen returns the number of cached flow decisions.
 func (f *Firewall) CacheLen() int { return f.cache.Len() }
-
-// WorkingSet implements NF.
-func (f *Firewall) WorkingSet() uint64 {
-	return f.cache.FootprintBytes() + uint64(len(f.rules))*ruleBytes
-}
 
 // NewStream implements NF: cache probes on the hot path, a linear rule
 // scan on the (rare, once-per-flow) miss path.

@@ -45,6 +45,10 @@ func (l *LB) Name() string { return "LB" }
 // Arena implements NF.
 func (l *LB) Arena() *mem.Arena { return l.arena }
 
+// FixedFootprint implements NF: each new flow is pinned in the
+// connection table.
+func (l *LB) FixedFootprint() bool { return false }
+
 func tupleHash(t pkt.FiveTuple) uint64 {
 	k := t.Key()
 	h := uint64(14695981039346656037)
@@ -66,11 +70,6 @@ func (l *LB) Process(p *pkt.Packet) Verdict {
 	p.Tuple.DstIP = l.backends[idx]
 	l.Balanced++
 	return Modified
-}
-
-// WorkingSet implements NF.
-func (l *LB) WorkingSet() uint64 {
-	return l.table.MemoryBytes() + l.conns.FootprintBytes()
 }
 
 // NewStream implements NF: one Maglev slot load plus connection-table

@@ -41,6 +41,9 @@ func (l *LPM) Name() string { return "LPM" }
 // Arena implements NF.
 func (l *LPM) Arena() *mem.Arena { return l.arena }
 
+// FixedFootprint implements NF: Process is a read-only lookup.
+func (l *LPM) FixedFootprint() bool { return true }
+
 // Process implements NF: look up the destination; drop when unroutable.
 func (l *LPM) Process(p *pkt.Packet) Verdict {
 	nh, ok := l.table.Lookup(p.Tuple.DstIP)
@@ -56,11 +59,8 @@ func (l *LPM) Process(p *pkt.Packet) Verdict {
 	return Modified
 }
 
-// WorkingSet implements NF. The TBL24 is 64 MB but per-packet touches are
+// NewStream implements NF. The TBL24 is 64 MB but per-packet touches are
 // 1–2 lines addressed by destination IP: a big, cold region.
-func (l *LPM) WorkingSet() uint64 { return l.table.MemoryBytes() }
-
-// NewStream implements NF.
 func (l *LPM) NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu.Stream {
 	region := l.table.MemoryBytes()
 	tblBase := base + mem.Addr(pktSlot*64)

@@ -44,6 +44,9 @@ func (m *Monitor) Name() string { return "Mon" }
 // Arena implements NF.
 func (m *Monitor) Arena() *mem.Arena { return m.arena }
 
+// FixedFootprint implements NF: each new flow adds a counter.
+func (m *Monitor) FixedFootprint() bool { return false }
+
 // Process implements NF.
 func (m *Monitor) Process(p *pkt.Packet) Verdict {
 	m.Packets++
@@ -88,9 +91,6 @@ func (m *Monitor) TopK(k int) []HeavyHitter {
 	}
 	return all
 }
-
-// WorkingSet implements NF.
-func (m *Monitor) WorkingSet() uint64 { return m.counts.FootprintBytes() }
 
 // NewStream implements NF: a counter upsert per packet over a large,
 // flow-indexed region.

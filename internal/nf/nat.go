@@ -50,6 +50,9 @@ func (n *NAT) Name() string { return "NAT" }
 // Arena implements NF.
 func (n *NAT) Arena() *mem.Arena { return n.arena }
 
+// FixedFootprint implements NF: each new flow adds a translation.
+func (n *NAT) FixedFootprint() bool { return false }
+
 // Flows returns the number of active translations.
 func (n *NAT) Flows() int { return n.out.Len() }
 
@@ -97,15 +100,10 @@ func (n *NAT) Process(p *pkt.Packet) Verdict {
 	return Modified
 }
 
-// WorkingSet implements NF.
-func (n *NAT) WorkingSet() uint64 {
-	return n.out.FootprintBytes() + n.back.FootprintBytes()
-}
-
 // NewStream implements NF: two map probes (forward + reverse tables) and a
 // header rewrite per packet, with insert traffic for new flows.
 func (n *NAT) NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu.Stream {
-	region := n.WorkingSet()
+	region := n.out.FootprintBytes() + n.back.FootprintBytes()
 	if region < 1<<20 {
 		region = 1 << 20
 	}

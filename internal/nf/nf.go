@@ -55,9 +55,9 @@ type NF interface {
 	Process(p *pkt.Packet) Verdict
 	// Arena exposes the NF's memory accounting.
 	Arena() *mem.Arena
-	// WorkingSet returns the bytes the data plane actively touches —
-	// the quantity that determines cache sensitivity in Figure 5.
-	WorkingSet() uint64
+	// FixedFootprint reports whether Process never touches the arena,
+	// so that no traffic can change the NF's Table 6/8 rows.
+	FixedFootprint() bool
 	// NewStream builds the instruction stream this NF presents to the
 	// timing simulator, with its memory placed at base.
 	NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu.Stream

@@ -36,9 +36,6 @@ func TestSuiteBuildsAllSix(t *testing.T) {
 		if f.Arena().Peak() == 0 {
 			t.Fatalf("%s has no memory profile", name)
 		}
-		if f.WorkingSet() == 0 {
-			t.Fatalf("%s has zero working set", name)
-		}
 	}
 }
 
