@@ -91,6 +91,25 @@ func BenchmarkTable6And8NFProfiles(b *testing.B) {
 	}
 }
 
+// BenchmarkNFBuild builds each NF at the snicbench -scale medium suite
+// config: the model construction behind every Table 6/8 profiling job and
+// each Figure 5 NF model, one sub-benchmark per NF.
+func BenchmarkNFBuild(b *testing.B) {
+	cfg := nf.SuiteConfig{
+		FirewallRules: 643, DPIPatterns: 8000, Routes: 16000, Backends: 64, Seed: 1,
+	}
+	for _, name := range nf.Names {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := nf.New(name, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkTable7AcceleratorProfiles(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := new(exp.Runner).Table7(0); err != nil {

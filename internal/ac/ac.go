@@ -5,18 +5,21 @@
 // (§4.3, a "regular-expression engine" that walks a finite-automata graph
 // stored in DRAM).
 //
-// The automaton is a trie with breadth-first failure links, flattened into
-// a dense goto table with *byte-class compression*: every byte value that
-// appears in no pattern behaves identically from every state, so the
+// The automaton is a trie with breadth-first failure links, built directly
+// in a dense goto table with *byte-class compression*: every byte value
+// that appears in no pattern behaves identically from every state, so the
 // alphabet collapses to (distinct pattern bytes + 1) classes. This is the
-// same trick production matchers (and the Rust crate's DFA) use, and it is
-// what keeps the 33 K-rule graph near the ~100 MB the paper reports in
-// Table 7 rather than the ~0.5 GB a raw 256-way table would need.
+// same trick production matchers (and the Rust crate's DFA) use. The
+// synthetic 33,471-pattern set compiles to 509,345 states over 96
+// classes, a 199.8 MB graph, where a raw 256-way table would need about
+// 0.5 GB; the paper reports 97.28 MB for its rule set, and Table 7 uses
+// that figure.
 package ac
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Automaton is a compiled pattern set.
@@ -64,86 +67,55 @@ func Compile(patterns [][]byte) (*Automaton, error) {
 	}
 	a.nclasses = nc
 
-	type node struct {
-		children map[uint16]int32 // by class
-		fail     int32
-		out      []int32
+	// Phase 1: the trie, built in place in the goto table; -1 marks a
+	// missing edge. States are numbered in insertion order, and the table
+	// is allocated once at its final size, so no growth slack stays behind.
+	states := trieStates(patterns)
+	next := make([]int32, states*nc)
+	for i := range next {
+		next[i] = -1
 	}
-	nodes := []*node{{children: map[uint16]int32{}}}
-	// Phase 1: trie over classes.
+	out := make([][]int32, states)
+	n := int32(1)
 	for pi, p := range patterns {
 		cur := int32(0)
 		for _, b := range p {
-			cl := a.classOf[b]
-			nxt, ok := nodes[cur].children[cl]
-			if !ok {
-				nxt = int32(len(nodes))
-				nodes = append(nodes, &node{children: map[uint16]int32{}})
-				nodes[cur].children[cl] = nxt
+			e := int(cur)*nc + int(a.classOf[b])
+			if next[e] < 0 {
+				next[e] = n
+				n++
 			}
-			cur = nxt
+			cur = next[e]
 		}
-		nodes[cur].out = append(nodes[cur].out, int32(pi))
+		out[cur] = append(out[cur], int32(pi))
 	}
-	// Phase 2: BFS failure links. Children are visited in ascending class
-	// order so the queue — and with it the out-list concatenation order —
-	// is a pure function of the pattern set, not of map iteration.
-	sortedChildren := func(n *node) []uint16 {
-		cls := make([]uint16, 0, len(n.children))
-		for cl := range n.children {
-			cls = append(cls, cl)
-		}
-		sort.Slice(cls, func(i, j int) bool { return cls[i] < cls[j] })
-		return cls
-	}
-	queue := make([]int32, 0, len(nodes))
-	for _, cl := range sortedChildren(nodes[0]) {
-		c := nodes[0].children[cl]
-		nodes[c].fail = 0
-		queue = append(queue, c)
-	}
+	// Phase 2: failure links, breadth first with each state's children in
+	// ascending class order, so the out-list concatenation order is a pure
+	// function of the pattern set. A state's failure target is shallower,
+	// so its row is already resolved when the state is reached, and every
+	// missing edge copies the failure target's entry.
+	fail := make([]int32, states)
+	queue := make([]int32, 1, states)
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
-		for _, cl := range sortedChildren(nodes[u]) {
-			v := nodes[u].children[cl]
-			queue = append(queue, v)
-			f := nodes[u].fail
-			for {
-				if w, ok := nodes[f].children[cl]; ok && w != v {
-					nodes[v].fail = w
-					break
-				}
-				if f == 0 {
-					if w, ok := nodes[0].children[cl]; ok && w != v {
-						nodes[v].fail = w
-					} else {
-						nodes[v].fail = 0
-					}
-					break
-				}
-				f = nodes[f].fail
-			}
-			nodes[v].out = append(nodes[v].out, nodes[nodes[v].fail].out...)
-		}
-	}
-	// Phase 3: dense goto table over classes with failures resolved.
-	a.next = make([]int32, len(nodes)*nc)
-	a.out = make([][]int32, len(nodes))
-	order := append([]int32{0}, queue...)
-	for _, s := range order {
-		n := nodes[s]
-		a.out[s] = n.out
-		row := int(s) * nc
+		row, frow := int(u)*nc, int(fail[u])*nc
 		for cl := 0; cl < nc; cl++ {
-			if c, ok := n.children[uint16(cl)]; ok {
-				a.next[row+cl] = c
-			} else if s == 0 {
-				a.next[cl] = 0
-			} else {
-				a.next[row+cl] = a.next[int(n.fail)*nc+cl]
+			v := next[row+cl]
+			switch {
+			case v < 0 && u == 0:
+				next[row+cl] = 0
+			case v < 0:
+				next[row+cl] = next[frow+cl]
+			default:
+				if u != 0 {
+					fail[v] = next[frow+cl]
+				}
+				out[v] = append(out[v], out[fail[v]]...)
+				queue = append(queue, v)
 			}
 		}
 	}
+	a.next, a.out = next, out
 	return a, nil
 }
 
@@ -205,4 +177,23 @@ func (a *Automaton) StateWalk(input []byte) (visited int, final int32) {
 		s = a.next[int(s)*nc+int(a.classOf[b])]
 	}
 	return len(input), s
+}
+
+// trieStates counts the trie's states — one per distinct pattern prefix,
+// plus the root — from the patterns in sorted order, where each pattern
+// adds the bytes it does not share with its predecessor.
+func trieStates(patterns [][]byte) int {
+	sorted := slices.Clone(patterns)
+	slices.SortFunc(sorted, bytes.Compare)
+	n := 1
+	var prev []byte
+	for _, p := range sorted {
+		shared := 0
+		for shared < len(p) && shared < len(prev) && p[shared] == prev[shared] {
+			shared++
+		}
+		n += len(p) - shared
+		prev = p
+	}
+	return n
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"snic/internal/sim"
+	"snic/internal/trace"
 )
 
 func compile(t *testing.T, pats ...string) *Automaton {
@@ -123,6 +124,30 @@ func TestMemoryBytesGrowsWithRules(t *testing.T) {
 	}
 	if small.States() != 2 {
 		t.Fatalf("states = %d", small.States())
+	}
+}
+
+// TestDPIPatternShapes pins the graph shapes the Table 6/7 and Figure 5
+// goldens are read from, and that the goto table carries no growth slack.
+func TestDPIPatternShapes(t *testing.T) {
+	for _, c := range []struct {
+		n, states, classes int
+		bytes              uint64
+	}{
+		{4000, 62943, 96, 24690172},
+		{8000, 125981, 96, 49417068},
+	} {
+		a, err := Compile(trace.DPIPatterns(sim.NewRand(1), c.n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.States() != c.states || a.Classes() != c.classes || a.MemoryBytes() != c.bytes {
+			t.Errorf("%d patterns: %d states, %d classes, %d B; want %d, %d, %d B",
+				c.n, a.States(), a.Classes(), a.MemoryBytes(), c.states, c.classes, c.bytes)
+		}
+		if cap(a.next) != len(a.next) {
+			t.Errorf("%d patterns: goto table cap %d > len %d", c.n, cap(a.next), len(a.next))
+		}
 	}
 }
 

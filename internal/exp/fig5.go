@@ -168,7 +168,7 @@ func simulateGroup(cfg Fig5Config, reg *obs.Registry, scope string, names []stri
 		tr.Observe(reg, scope)
 	}
 	lat := cpu.DefaultLatencies()
-	tpl := ictfTemplate(cfg.Seed, cfg.PoolFlows)
+	tpl := ictfTemplate(sim.NewRand(cfg.Seed).ForkSeed(), cfg.PoolFlows)
 	cores := make([]*cpu.Core, len(names))
 	streams := make([]cpu.Stream, len(names))
 	for i, name := range names {

@@ -32,9 +32,8 @@ type Runner struct {
 	Progress *obs.Progress
 
 	// groups holds this Runner's co-tenancy group results (see
-	// runGroup). It lives and dies with the Runner: the package-level
-	// experiment functions, which keep their historical signatures for
-	// tests, benchmarks and examples, each run on a fresh Runner.
+	// runGroup). It lives and dies with the Runner, so a fresh Runner
+	// starts with no memoized groups.
 	groups memo.Cache[groupKey, groupResult]
 }
 

@@ -46,39 +46,21 @@ type poolKey struct {
 
 var ictfMemo memo.Cache[poolKey, *trace.PoolTemplate]
 
-// ictfTemplate returns the ICTF pool template for (seed, flows), built
-// once per key as
+// ictfTemplate returns the ICTF pool template for (forkSeed, flows),
+// built once per key as
 //
-//	rng := sim.NewRand(seed); trace.NewICTFTemplate(rng.Fork(), flows)
+//	trace.NewICTFTemplate(sim.NewRand(forkSeed), flows)
 //
-// Figure 5 instantiates one pool per co-located domain from it (see
-// simulateGroup), each with its own seeds.
-func ictfTemplate(seed uint64, flows int) *trace.PoolTemplate {
-	return ictfMemo.Get(poolKey{seed: seed, flows: flows}, func() *trace.PoolTemplate {
-		rng := sim.NewRand(seed)
-		return trace.NewICTFTemplate(rng.Fork(), flows)
-	})
-}
-
-// ictfForkMemo caches templates keyed by an already-forked seed — the
-// value rng.ForkSeed() returned — whereas ictfMemo's key is the seed of
-// the parent stream that forks. The two derivations differ by one fork,
-// so they must not share a cache.
-var ictfForkMemo memo.Cache[poolKey, *trace.PoolTemplate]
-
-// ictfPoolFork returns a fresh ICTF pool whose streams start from an
-// already-forked seed. It matches the pre-memoization derivation
-//
-//	pool := trace.NewICTF(rng.Fork(), flows)
-//
-// when called as ictfPoolFork(rng.ForkSeed(), flows): ForkSeed consumes
-// the same single draw Fork did, and NewRand(forkSeed) is exactly the
-// generator Fork would have handed to NewICTF. Table 6/8's profiling
-// jobs use this so the driven per-NF jobs (and every benchmark iteration)
-// share one flow set + CDF build per (seed, flows).
-func ictfPoolFork(forkSeed uint64, flows int) *trace.Pool {
-	t := ictfForkMemo.Get(poolKey{seed: forkSeed, flows: flows}, func() *trace.PoolTemplate {
+// The key is an already-forked seed, the value rng.ForkSeed() returns:
+// Fork is NewRand(ForkSeed()), so ictfTemplate(rng.ForkSeed(), flows)
+// is exactly the template trace.NewICTFTemplate(rng.Fork(), flows) would
+// build, and it consumes the same single draw from rng. Figure 5
+// instantiates one pool per co-located domain from it (see
+// simulateGroup), each with its own seeds; Table 6/8's profiling jobs
+// take its Pool(), so the driven per-NF jobs (and every benchmark
+// iteration) share one flow set + CDF build per (seed, flows).
+func ictfTemplate(forkSeed uint64, flows int) *trace.PoolTemplate {
+	return ictfMemo.Get(poolKey{seed: forkSeed, flows: flows}, func() *trace.PoolTemplate {
 		return trace.NewICTFTemplate(sim.NewRand(forkSeed), flows)
 	})
-	return t.Pool()
 }

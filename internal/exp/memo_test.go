@@ -11,43 +11,45 @@ import (
 	"snic/internal/nf"
 	"snic/internal/obs"
 	"snic/internal/sim"
+	"snic/internal/trace"
 )
 
-// TestIctfPoolForkMemoizesTemplate pins the Table 6/8 memoization: the
-// profiling path builds one PoolTemplate per (forkSeed, flows) and every
-// later pool instantiates from that cached template, so repeated sweeps
-// (and benchmark iterations) never rebuild the flow set or Zipf CDF.
+// TestIctfPoolForkMemoizesTemplate pins the ICTF template memoization:
+// Figure 5 and the Table 6/8 profiling path build one PoolTemplate per
+// (forkSeed, flows), every later pool instantiates from that cached
+// template, so repeated sweeps (and benchmark iterations) never rebuild
+// the flow set or Zipf CDF.
 func TestIctfPoolForkMemoizesTemplate(t *testing.T) {
-	rng := sim.NewRand(0xF0F0)
-	forkSeed := rng.ForkSeed()
+	const seed = 0xF0F0
+	forkSeed := sim.NewRand(seed).ForkSeed()
 	key := poolKey{seed: forkSeed, flows: 1234}
 
-	_ = ictfPoolFork(forkSeed, 1234)
-	tpl, ok := ictfForkMemo.Peek(key)
+	_ = ictfTemplate(forkSeed, 1234)
+	tpl, ok := ictfMemo.Peek(key)
 	if !ok {
-		t.Fatal("first ictfPoolFork did not populate the template cache")
+		t.Fatal("first ictfTemplate did not populate the template cache")
 	}
-	_ = ictfPoolFork(forkSeed, 1234)
-	again, ok := ictfForkMemo.Peek(key)
-	if !ok || again != tpl {
-		t.Fatal("second ictfPoolFork rebuilt the template instead of reusing it")
+	if again := ictfTemplate(forkSeed, 1234); again != tpl {
+		t.Fatal("second ictfTemplate rebuilt the template instead of reusing it")
 	}
 
-	// The fork-keyed cache must stay disjoint from the parent-seed cache:
-	// the derivations differ by one fork, so sharing would hand Fig 5 the
-	// wrong draws.
-	if _, ok := ictfMemo.Peek(key); ok {
-		t.Fatal("fork-keyed template leaked into the parent-seed cache")
+	// Keying by the forked seed must hand out exactly the template the
+	// parent stream's Fork would have built.
+	fresh := trace.NewICTFTemplate(sim.NewRand(seed).Fork(), 1234)
+	if !reflect.DeepEqual(tpl, fresh) {
+		t.Fatal("template keyed by NewRand(s).ForkSeed() differs from one built from NewRand(s).Fork()")
 	}
 
 	// Memoization must be invisible: two pools from the cached template
 	// draw identically to a freshly built pool.
-	a := ictfPoolFork(forkSeed, 1234)
-	b := ictfPoolFork(forkSeed, 1234)
+	a := ictfTemplate(forkSeed, 1234).Pool()
+	b := ictfTemplate(forkSeed, 1234).Pool()
+	c := fresh.Pool()
 	for i := 0; i < 50; i++ {
 		_, pa := a.NextPacket(64)
 		_, pb := b.NextPacket(64)
-		if pa.Tuple != pb.Tuple {
+		_, pc := c.NextPacket(64)
+		if pa.Tuple != pb.Tuple || pa.Tuple != pc.Tuple {
 			t.Fatalf("draw %d: cached-template pools diverged", i)
 		}
 	}

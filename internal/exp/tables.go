@@ -194,7 +194,7 @@ func profileNF(name string, cfg nf.SuiteConfig, flows, packets int, rng *sim.Ran
 	// draws nothing else from rng. The NFs consume each packet before the
 	// next draw, so the pool's reused payload buffer is safe here.
 	if !f.FixedFootprint() {
-		pool := ictfPoolFork(rng.ForkSeed(), flows)
+		pool := ictfTemplate(rng.ForkSeed(), flows).Pool()
 		for i := 0; i < packets; i++ {
 			_, p := pool.NextPacketBuf(trace.IMIXLen(rng))
 			f.Process(&p)

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"snic/internal/sim"
+	"snic/internal/trace"
 )
 
 func ip(a, b, c, d byte) uint32 {
@@ -124,6 +125,36 @@ func TestMemoryBytesDominatedByTBL24(t *testing.T) {
 	}
 }
 
+// TestMemoryBytesChargesDIR248 pins the modelled footprint the Table 6
+// LPM heap and the LPM stream's region are read from: 4 B per TBL24
+// entry, 1 KB per TBL8 pool (one per /24 holding a longer route), and
+// 16 B per route.
+func TestMemoryBytesChargesDIR248(t *testing.T) {
+	const tbl24 = (1 << 24) * EntryBytes
+	hand := New()
+	hand.Insert(ip(10, 1, 1, 0), 25, 1)
+	hand.Insert(ip(10, 1, 1, 128), 25, 2) // same /24: no second pool
+	hand.Insert(ip(10, 2, 0, 0), 16, 3)   // /24 or shorter: no pool
+	hand.Insert(ip(10, 3, 3, 0), 24, 4)
+	if got, want := hand.MemoryBytes(), uint64(tbl24+1024+4*16); got != want {
+		t.Errorf("two /25s in one /24 plus a /16 and a /24: MemoryBytes = %d, want %d", got, want)
+	}
+	for _, c := range []struct {
+		n    int
+		want uint64
+	}{{4000, 67704320}, {16000, 69614592}} {
+		tbl := New()
+		for _, r := range trace.Routes(sim.NewRand(1), c.n) {
+			if err := tbl.Insert(r.Prefix, r.Length, r.NextHop); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := tbl.MemoryBytes(); got != c.want {
+			t.Errorf("trace.Routes(NewRand(1), %d): MemoryBytes = %d, want %d", c.n, got, c.want)
+		}
+	}
+}
+
 // naive reference: linear scan for the longest matching prefix.
 type refRoute struct {
 	prefix uint32
@@ -145,14 +176,12 @@ func refLookup(routes []refRoute, addr uint32) (uint16, bool) {
 
 // Property: DIR-24-8 agrees with the naive longest-prefix scan.
 func TestMatchesNaiveProperty(t *testing.T) {
-	tbl := New() // reuse one table; rebuild per trial would allocate 96MB each
 	f := func(seed uint64) bool {
 		rng := sim.NewRand(seed)
 		// Random routes clustered so overlaps actually happen.
 		n := 1 + rng.Intn(20)
 		routes := make([]refRoute, 0, n)
-		fresh := New()
-		*tbl = *fresh
+		tbl := New()
 		for i := 0; i < n; i++ {
 			length := rng.Intn(33)
 			prefix := (uint32(rng.Intn(4))<<24 | uint32(rng.Uint32())&0x00FFFFFF) & prefixMask(length)
@@ -183,7 +212,7 @@ func TestMatchesNaiveProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
