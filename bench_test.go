@@ -436,7 +436,7 @@ func deviceForBench(b *testing.B) *snic.Device {
 func BenchmarkNFLaunchTeardown(b *testing.B) {
 	d := deviceForBench(b)
 	spec := snic.LaunchSpec{
-		CoreMask: 0b01, Image: make([]byte, 64<<10), MemBytes: 8 << 20, DMACore: -1,
+		CoreMask: 0b01, Image: make([]byte, 64<<10), MemBytes: 8 << 20,
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -453,7 +453,7 @@ func BenchmarkNFLaunchTeardown(b *testing.B) {
 func BenchmarkNFAttest(b *testing.B) {
 	d := deviceForBench(b)
 	rep, err := d.Launch(snic.LaunchSpec{
-		CoreMask: 0b01, Image: []byte("nf"), MemBytes: 1 << 20, DMACore: -1,
+		CoreMask: 0b01, Image: []byte("nf"), MemBytes: 1 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -469,11 +469,11 @@ func BenchmarkNFAttest(b *testing.B) {
 
 func BenchmarkSendLocalChainHop(b *testing.B) {
 	d := deviceForBench(b)
-	a, err := d.Launch(snic.LaunchSpec{CoreMask: 0b01, Image: []byte("a"), MemBytes: 2 << 20, DMACore: -1})
+	a, err := d.Launch(snic.LaunchSpec{CoreMask: 0b01, Image: []byte("a"), MemBytes: 2 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := d.Launch(snic.LaunchSpec{CoreMask: 0b10, Image: []byte("b"), MemBytes: 2 << 20, DMACore: -1})
+	c, err := d.Launch(snic.LaunchSpec{CoreMask: 0b10, Image: []byte("b"), MemBytes: 2 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -495,8 +495,7 @@ func BenchmarkPacketSwitchDeliver(b *testing.B) {
 	d := deviceForBench(b)
 	_, err := d.Launch(snic.LaunchSpec{
 		CoreMask: 0b01, Image: []byte("nf"), MemBytes: 2 << 20,
-		Rules:   []pktio.MatchSpec{{Proto: pkt.ProtoTCP}},
-		DMACore: -1,
+		Rules: []pktio.MatchSpec{{Proto: pkt.ProtoTCP}},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -603,7 +602,6 @@ func BenchmarkChurnNF(b *testing.B) {
 					MemBytes:   1 << 20,
 					RXBufBytes: 32 << 10,
 					TXBufBytes: 32 << 10,
-					DMACore:    -1,
 				})
 				if err != nil {
 					b.Fatal(err)

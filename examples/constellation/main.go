@@ -50,7 +50,6 @@ func run(w io.Writer) error {
 		CoreMask: 0b01,
 		Image:    []byte("ids-middlebox-v3"),
 		MemBytes: 4 << 20,
-		DMACore:  -1,
 	})
 	if err != nil {
 		return err

@@ -62,7 +62,6 @@ func run(w io.Writer) error {
 			{Proto: pkt.ProtoTCP, DstPortLo: 80, DstPortHi: 80},
 			{Proto: pkt.ProtoTCP, DstPortLo: 443, DstPortHi: 443},
 		},
-		DMACore: -1,
 	})
 	if err != nil {
 		return err

@@ -33,6 +33,8 @@ type Automaton struct {
 	next []int32
 	// out[state] lists pattern indices terminating at state.
 	out [][]int32
+	// footprint is the graph's DRAM footprint, summed once by Compile.
+	footprint uint64
 }
 
 // Match reports one pattern occurrence.
@@ -116,6 +118,10 @@ func Compile(patterns [][]byte) (*Automaton, error) {
 		}
 	}
 	a.next, a.out = next, out
+	a.footprint = uint64(len(next))*4 + 256*2
+	for _, o := range out {
+		a.footprint += 8 + uint64(len(o))*4
+	}
 	return a, nil
 }
 
@@ -128,13 +134,7 @@ func (a *Automaton) Classes() int { return a.nclasses }
 // MemoryBytes estimates the DRAM footprint of the flattened graph: the
 // class-compressed transition table, the byte-class map, and the output
 // lists. This is the "Graph" entry of Table 7.
-func (a *Automaton) MemoryBytes() uint64 {
-	n := uint64(len(a.next))*4 + 256*2
-	for _, o := range a.out {
-		n += 8 + uint64(len(o))*4
-	}
-	return n
-}
+func (a *Automaton) MemoryBytes() uint64 { return a.footprint }
 
 // Scan runs the automaton over input, appending matches to dst (which may
 // be nil) and returning it. The traversal touches one table row per input

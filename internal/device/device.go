@@ -25,7 +25,6 @@ import (
 	"snic/internal/mem"
 	"snic/internal/obs"
 	"snic/internal/pktio"
-	"snic/internal/snic"
 )
 
 // Capability is a bitmask of isolation properties a NIC model provides.
@@ -231,7 +230,6 @@ type Spec struct {
 	FrameSize uint64 // ownership granularity (models that have one)
 
 	// S-NIC extras.
-	Rates  *snic.Rates // Figure 6 latency calibration override
 	Serial string
 	Vendor *attest.Vendor // attestation root (default: a fresh vendor)
 }

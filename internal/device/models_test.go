@@ -162,7 +162,7 @@ func TestBlueFieldCarveOut(t *testing.T) {
 func TestSNICCoreTableFollowsDevice(t *testing.T) {
 	s := build(t, "snic").(*SNIC)
 	if _, err := s.Underlying().Launch(snic.LaunchSpec{
-		CoreMask: 1, Image: []byte("direct"), MemBytes: s.FrameSize(), DMACore: -1,
+		CoreMask: 1, Image: []byte("direct"), MemBytes: s.FrameSize(),
 	}); err != nil {
 		t.Fatal(err)
 	}

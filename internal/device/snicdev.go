@@ -48,9 +48,6 @@ func newSNIC(spec Spec) (*SNIC, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.Rates != nil {
-		dev.SetRates(*spec.Rates)
-	}
 	s := &SNIC{dev: dev, vendor: vendor, accelFree: make(map[FuncID]uint64)}
 	s.bus = newBusSim(s.NewBusArbiter, dev.Cores())
 	return s, nil
@@ -121,7 +118,6 @@ func (s *SNIC) launch(spec FuncSpec, portBuf uint64) (FuncID, snic.LaunchReport,
 		Rules:      spec.Rules,
 		RXBufBytes: portBuf,
 		TXBufBytes: portBuf,
-		DMACore:    -1,
 	})
 	if err != nil {
 		return 0, snic.LaunchReport{}, err

@@ -98,26 +98,15 @@ func (b *Bank) ToHost(pm *mem.Physical, nicVA tlb.VAddr, n int, hostOff int) err
 	if b.owner == mem.Free {
 		return fmt.Errorf("dma: bank %d unbound", b.Core)
 	}
-	if hostOff < 0 || hostOff+n > len(b.host.buf) {
+	if hostOff < 0 || n < 0 || hostOff+n > len(b.host.buf) {
 		return fmt.Errorf("dma: host window violation [%d,+%d) of %d", hostOff, n, len(b.host.buf))
 	}
-	tmp := make([]byte, n)
-	off := 0
-	for off < n {
-		chunk := min(n-off, 1024)
-		pa, err := b.nicTLB.Translate(nicVA+tlb.VAddr(off), tlb.PermRead)
-		if err != nil {
-			return fmt.Errorf("dma: NIC-side fault: %w", err)
-		}
-		if _, err := b.nicTLB.Translate(nicVA+tlb.VAddr(off+chunk-1), tlb.PermRead); err != nil {
-			return fmt.Errorf("dma: NIC-side fault: %w", err)
-		}
-		if err := pm.Read(pa, tmp[off:off+chunk]); err != nil {
-			return err
-		}
-		off += chunk
+	dst := b.host.buf[hostOff : hostOff+n]
+	if err := b.nicTLB.Span(nicVA, n, tlb.PermRead, func(pa mem.Addr, off, k int) error {
+		return pm.Read(pa, dst[off:off+k])
+	}); err != nil {
+		return fmt.Errorf("dma: NIC-side fault: %w", err)
 	}
-	copy(b.host.buf[hostOff:], tmp)
 	return nil
 }
 
@@ -127,30 +116,14 @@ func (b *Bank) FromHost(pm *mem.Physical, hostOff int, n int, nicVA tlb.VAddr) e
 	if b.owner == mem.Free {
 		return fmt.Errorf("dma: bank %d unbound", b.Core)
 	}
-	if hostOff < 0 || hostOff+n > len(b.host.buf) {
+	if hostOff < 0 || n < 0 || hostOff+n > len(b.host.buf) {
 		return fmt.Errorf("dma: host window violation [%d,+%d) of %d", hostOff, n, len(b.host.buf))
 	}
-	off := 0
-	for off < n {
-		chunk := min(n-off, 1024)
-		pa, err := b.nicTLB.Translate(nicVA+tlb.VAddr(off), tlb.PermWrite)
-		if err != nil {
-			return fmt.Errorf("dma: NIC-side fault: %w", err)
-		}
-		if _, err := b.nicTLB.Translate(nicVA+tlb.VAddr(off+chunk-1), tlb.PermWrite); err != nil {
-			return fmt.Errorf("dma: NIC-side fault: %w", err)
-		}
-		if err := pm.Write(pa, b.host.buf[hostOff+off:hostOff+off+chunk]); err != nil {
-			return err
-		}
-		off += chunk
+	src := b.host.buf[hostOff : hostOff+n]
+	if err := b.nicTLB.Span(nicVA, n, tlb.PermWrite, func(pa mem.Addr, off, k int) error {
+		return pm.Write(pa, src[off:off+k])
+	}); err != nil {
+		return fmt.Errorf("dma: NIC-side fault: %w", err)
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

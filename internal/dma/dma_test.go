@@ -67,7 +67,7 @@ func TestHostWindowEnforced(t *testing.T) {
 }
 
 func TestNICSideTLBEnforced(t *testing.T) {
-	pm, c, _, _ := setup(t)
+	pm, c, r, host := setup(t)
 	b := c.Bank(0)
 	// VA beyond the single mapped page faults: the host cannot reach
 	// arbitrary NIC memory through the function's bank.
@@ -76,6 +76,19 @@ func TestNICSideTLBEnforced(t *testing.T) {
 	}
 	if err := b.ToHost(pm, tlb.VAddr(2*page), 64, 0); err == nil {
 		t.Fatal("out-of-mapping NIC read accepted")
+	}
+	// A transfer whose tail runs off the mapping faults before it moves
+	// a byte: the in-mapping head is not written either.
+	for i := range host.Bytes()[:2048] {
+		host.Bytes()[i] = 0xAB
+	}
+	if err := b.FromHost(pm, 0, 2048, tlb.VAddr(page-1024)); err == nil {
+		t.Fatal("NIC write past the mapping accepted")
+	}
+	head := make([]byte, 1024)
+	pm.Read(r.Start+page-1024, head)
+	if !bytes.Equal(head, make([]byte, 1024)) {
+		t.Fatal("faulting FromHost wrote the in-mapping head")
 	}
 }
 

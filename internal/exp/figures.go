@@ -77,7 +77,6 @@ func launchProfile(reg *obs.Registry, i int, name string) (Fig6Row, error) {
 		CoreMask: 1 << uint(i%12),
 		Image:    []byte(name + " image"),
 		MemBytes: memBytes,
-		DMACore:  -1,
 	})
 	if err != nil {
 		return Fig6Row{}, err

@@ -82,9 +82,6 @@ func (m *Machine) Deploy(u Upload) (snic.ID, snic.LaunchReport, error) {
 	// The DMA transfer happens via the host window attached to the spec:
 	// the staged bytes are what actually reach NIC RAM.
 	spec.Image = img
-	if spec.DMAWindow == nil {
-		spec.DMACore = -1
-	}
 	if len(spec.PageSet) == 0 {
 		spec.PageSet = pagealloc.PageSet{128 << 10}
 	}

@@ -22,7 +22,7 @@ func machine(t *testing.T) (*Machine, *attest.Vendor) {
 
 func upload() Upload {
 	return NewUpload("fw", []byte("firewall image v1"), snic.LaunchSpec{
-		CoreMask: 0b01, MemBytes: 1 << 20, DMACore: -1,
+		CoreMask: 0b01, MemBytes: 1 << 20,
 	})
 }
 

@@ -21,7 +21,7 @@ func newOS(t *testing.T) *OS {
 }
 
 func spec(mask uint64) snic.LaunchSpec {
-	return snic.LaunchSpec{CoreMask: mask, Image: []byte("img"), MemBytes: 1 << 20, DMACore: -1}
+	return snic.LaunchSpec{CoreMask: mask, Image: []byte("img"), MemBytes: 1 << 20}
 }
 
 func TestCreateDestroyLifecycle(t *testing.T) {

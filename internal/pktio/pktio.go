@@ -248,25 +248,10 @@ func (v *VPP) push(pm *mem.Physical, frame []byte) error {
 	}
 	va := v.ringBase + tlb.VAddr(v.head*v.slotSize)
 	// The scheduler unit can only write where its locked TLB points.
-	off := 0
-	for off < len(frame) {
-		chunk := len(frame) - off
-		if chunk > 1024 {
-			chunk = 1024
-		}
-		pa, err := v.sched.Translate(va+tlb.VAddr(off), tlb.PermWrite)
-		if err != nil {
-			return fmt.Errorf("pktio: scheduler fault: %w", err)
-		}
-		// The transfer must not run off the end of the mapping: check the
-		// chunk's last byte as hardware would for a burst.
-		if _, err := v.sched.Translate(va+tlb.VAddr(off+chunk-1), tlb.PermWrite); err != nil {
-			return fmt.Errorf("pktio: scheduler fault: %w", err)
-		}
-		if err := pm.Write(pa, frame[off:off+chunk]); err != nil {
-			return err
-		}
-		off += chunk
+	if err := v.sched.Span(va, len(frame), tlb.PermWrite, func(pa mem.Addr, off, n int) error {
+		return pm.Write(pa, frame[off:off+n])
+	}); err != nil {
+		return fmt.Errorf("pktio: scheduler fault: %w", err)
 	}
 	v.queue = append(v.queue, Descriptor{VA: va, Len: len(frame)})
 	v.head++
@@ -296,23 +281,10 @@ func (v *VPP) Pop() (Descriptor, bool) {
 // scheduler TLB (what the packet-output module does on transmit).
 func (v *VPP) ReadFrame(pm *mem.Physical, d Descriptor) ([]byte, error) {
 	out := make([]byte, d.Len)
-	off := 0
-	for off < d.Len {
-		chunk := d.Len - off
-		if chunk > 1024 {
-			chunk = 1024
-		}
-		pa, err := v.sched.Translate(d.VA+tlb.VAddr(off), tlb.PermRead)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := v.sched.Translate(d.VA+tlb.VAddr(off+chunk-1), tlb.PermRead); err != nil {
-			return nil, err
-		}
-		if err := pm.Read(pa, out[off:off+chunk]); err != nil {
-			return nil, err
-		}
-		off += chunk
+	if err := v.sched.Span(d.VA, d.Len, tlb.PermRead, func(pa mem.Addr, off, n int) error {
+		return pm.Read(pa, out[off:off+n])
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

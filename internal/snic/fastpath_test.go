@@ -129,7 +129,6 @@ func TestPoolHitMatchesColdLaunch(t *testing.T) {
 			CoreMask: 0b01,
 			Image:    img,
 			MemBytes: uint64(1+rng.Intn(8)) << 18,
-			DMACore:  -1,
 		}
 		if spec.MemBytes < uint64(imgLen) {
 			spec.MemBytes = uint64(imgLen)
@@ -231,7 +230,6 @@ func TestBatchAttestRoundTrip(t *testing.T) {
 			MemBytes:   1 << 18,
 			RXBufBytes: 32 << 10,
 			TXBufBytes: 32 << 10,
-			DMACore:    -1,
 		})
 		if err != nil {
 			t.Fatal(err)

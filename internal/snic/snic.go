@@ -36,18 +36,20 @@ import (
 
 // Config describes the physical NIC being built.
 type Config struct {
-	Cores         int    // programmable cores (the management core is separate)
-	MemBytes      uint64 // general-purpose DRAM
-	FrameSize     uint64 // ownership granularity (default 128 KB)
-	RXBufBytes    uint64 // physical RX port buffer (default 2 MB)
-	TXBufBytes    uint64 // physical TX port buffer (default 1 MB)
-	DPIThreads    int    // hardware threads per accelerator (default 64)
-	ZIPThreads    int
-	RAIDThreads   int
-	CryptoThreads int
-	ClusterSize   int // threads per cluster (default 16)
-	Serial        string
+	Cores     int    // programmable cores (the management core is separate)
+	MemBytes  uint64 // general-purpose DRAM
+	FrameSize uint64 // ownership granularity (default 128 KB)
+	Serial    string
 }
+
+// The fixed parts of the NIC: physical port buffers and the four
+// accelerators' hardware threads, reserved in clusters.
+const (
+	rxBufBytes   = 2 << 20 // physical RX port buffer
+	txBufBytes   = 1 << 20 // physical TX port buffer
+	accelThreads = 64      // hardware threads per accelerator
+	accelCluster = 16      // threads per reservable cluster
+)
 
 func (c *Config) defaults() {
 	if c.Cores == 0 {
@@ -58,27 +60,6 @@ func (c *Config) defaults() {
 	}
 	if c.FrameSize == 0 {
 		c.FrameSize = 128 << 10
-	}
-	if c.RXBufBytes == 0 {
-		c.RXBufBytes = 2 << 20
-	}
-	if c.TXBufBytes == 0 {
-		c.TXBufBytes = 1 << 20
-	}
-	if c.DPIThreads == 0 {
-		c.DPIThreads = 64
-	}
-	if c.ZIPThreads == 0 {
-		c.ZIPThreads = 64
-	}
-	if c.RAIDThreads == 0 {
-		c.RAIDThreads = 64
-	}
-	if c.CryptoThreads == 0 {
-		c.CryptoThreads = 64
-	}
-	if c.ClusterSize == 0 {
-		c.ClusterSize = 16
 	}
 	if c.Serial == "" {
 		c.Serial = "SNIC-SIM-0"
@@ -133,8 +114,9 @@ type LaunchSpec struct {
 	RAIDClusters   int
 	CryptoClusters int
 
-	// DMACore, if >= 0, binds that core's DMA bank with the given
-	// host-sanctioned window.
+	// DMAWindow, if set, binds the DMA bank of core DMACore (which must
+	// be in CoreMask) to this host-sanctioned window; DMACore is ignored
+	// without one.
 	DMACore   int
 	DMAWindow *dma.HostRegion
 }
@@ -261,24 +243,11 @@ func New(cfg Config, vendor *attest.Vendor) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	mkAccel := func(kind accel.Kind, threads int) (*accel.Accelerator, error) {
-		return accel.New(kind, threads, cfg.ClusterSize)
-	}
-	dpiA, err := mkAccel(accel.DPI, cfg.DPIThreads)
-	if err != nil {
-		return nil, err
-	}
-	zipA, err := mkAccel(accel.ZIP, cfg.ZIPThreads)
-	if err != nil {
-		return nil, err
-	}
-	raidA, err := mkAccel(accel.RAID, cfg.RAIDThreads)
-	if err != nil {
-		return nil, err
-	}
-	cryptoA, err := mkAccel(accel.CRYPTO, cfg.CryptoThreads)
-	if err != nil {
-		return nil, err
+	var accels [4]*accel.Accelerator
+	for i, kind := range []accel.Kind{accel.DPI, accel.ZIP, accel.RAID, accel.CRYPTO} {
+		if accels[i], err = accel.New(kind, accelThreads, accelCluster); err != nil {
+			return nil, err
+		}
 	}
 	hw, err := attest.NewDevice(vendor, cfg.Serial)
 	if err != nil {
@@ -290,12 +259,12 @@ func New(cfg Config, vendor *attest.Vendor) (*Device, error) {
 		pm:        pm,
 		deny:      deny,
 		mgmt:      tlb.NewGuardedBank(1024, deny),
-		sw:        pktio.NewSwitch(pm, cfg.RXBufBytes, cfg.TXBufBytes),
+		sw:        pktio.NewSwitch(pm, rxBufBytes, txBufBytes),
 		dmaC:      dma.NewController(cfg.Cores),
-		dpi:       dpiA,
-		zip:       zipA,
-		raid:      raidA,
-		crypto:    cryptoA,
+		dpi:       accels[0],
+		zip:       accels[1],
+		raid:      accels[2],
+		crypto:    accels[3],
 		hw:        hw,
 		rates:     DefaultRates(),
 		coreOwner: make([]ID, cfg.Cores),
@@ -350,9 +319,6 @@ func (d *Device) FreeCoreMask() uint64 {
 	}
 	return m
 }
-
-// SetRates overrides the latency calibration.
-func (d *Device) SetRates(r Rates) { d.rates = r }
 
 // Launch is nf_launch. It validates every reservation, then installs the
 // function atomically: on any failure all partial state is rolled back
@@ -619,18 +585,7 @@ func (d *Device) NFRead(id ID, va tlb.VAddr, buf []byte) error {
 	if !ok {
 		return fmt.Errorf("snic: no NF %d", id)
 	}
-	pa, err := v.TLB.Translate(va, tlb.PermRead)
-	if err != nil {
-		return err
-	}
-	// The last byte must translate too: an access spanning past the
-	// locked mapping is a fatal miss, never a window onto the next frame.
-	if len(buf) > 1 {
-		if _, err := v.TLB.Translate(va+tlb.VAddr(len(buf)-1), tlb.PermRead); err != nil {
-			return err
-		}
-	}
-	return d.pm.Read(pa, buf)
+	return v.TLB.Span(va, len(buf), tlb.PermRead, d.reader(buf))
 }
 
 // NFWrite writes the function's memory at va through its locked TLB.
@@ -639,16 +594,17 @@ func (d *Device) NFWrite(id ID, va tlb.VAddr, data []byte) error {
 	if !ok {
 		return fmt.Errorf("snic: no NF %d", id)
 	}
-	pa, err := v.TLB.Translate(va, tlb.PermWrite)
-	if err != nil {
-		return err
-	}
-	if len(data) > 1 {
-		if _, err := v.TLB.Translate(va+tlb.VAddr(len(data)-1), tlb.PermWrite); err != nil {
-			return err
-		}
-	}
-	return d.pm.Write(pa, data)
+	return v.TLB.Span(va, len(data), tlb.PermWrite, d.writer(data))
+}
+
+// reader returns the Span callback that fills buf from DRAM.
+func (d *Device) reader(buf []byte) func(pa mem.Addr, off, n int) error {
+	return func(pa mem.Addr, off, n int) error { return d.pm.Read(pa, buf[off:off+n]) }
+}
+
+// writer returns the Span callback that stores data into DRAM.
+func (d *Device) writer(data []byte) func(pa mem.Addr, off, n int) error {
+	return func(pa mem.Addr, off, n int) error { return d.pm.Write(pa, data[off:off+n]) }
 }
 
 // MgmtMap asks the management core's MMU to map a physical range; the
@@ -659,11 +615,7 @@ func (d *Device) MgmtMap(va tlb.VAddr, pa mem.Addr, size uint64) error {
 
 // MgmtRead reads through the management core's MMU.
 func (d *Device) MgmtRead(va tlb.VAddr, buf []byte) error {
-	pa, err := d.mgmt.Translate(va, tlb.PermRead)
-	if err != nil {
-		return err
-	}
-	return d.pm.Read(pa, buf)
+	return d.mgmt.Span(va, len(buf), tlb.PermRead, d.reader(buf))
 }
 
 // MgmtUnmap flushes the management-core mapping covering va (a software
@@ -672,11 +624,7 @@ func (d *Device) MgmtUnmap(va tlb.VAddr) bool { return d.mgmt.Evict(va) }
 
 // MgmtWrite writes through the management core's MMU.
 func (d *Device) MgmtWrite(va tlb.VAddr, data []byte) error {
-	pa, err := d.mgmt.Translate(va, tlb.PermWrite)
-	if err != nil {
-		return err
-	}
-	return d.pm.Write(pa, data)
+	return d.mgmt.Span(va, len(data), tlb.PermWrite, d.writer(data))
 }
 
 func u64bytes(v uint64) []byte {
@@ -708,23 +656,8 @@ func (d *Device) SendLocal(from, to ID, va tlb.VAddr, n int) error {
 		return fmt.Errorf("snic: empty local send")
 	}
 	frame := make([]byte, n)
-	off := 0
-	for off < n {
-		chunk := n - off
-		if chunk > 1024 {
-			chunk = 1024
-		}
-		pa, err := src.TLB.Translate(va+tlb.VAddr(off), tlb.PermRead)
-		if err != nil {
-			return fmt.Errorf("snic: sender fault: %w", err)
-		}
-		if _, err := src.TLB.Translate(va+tlb.VAddr(off+chunk-1), tlb.PermRead); err != nil {
-			return fmt.Errorf("snic: sender fault: %w", err)
-		}
-		if err := d.pm.Read(pa, frame[off:off+chunk]); err != nil {
-			return err
-		}
-		off += chunk
+	if err := src.TLB.Span(va, n, tlb.PermRead, d.reader(frame)); err != nil {
+		return fmt.Errorf("snic: sender fault: %w", err)
 	}
 	return dst.VPP.PushLocal(d.pm, frame)
 }

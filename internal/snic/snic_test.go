@@ -33,7 +33,6 @@ func basicSpec() LaunchSpec {
 		Image:    []byte("nf code and data"),
 		MemBytes: 1 << 20,
 		Rules:    []pktio.MatchSpec{{DstPortLo: 80, DstPortHi: 80}},
-		DMACore:  -1,
 	}
 }
 
@@ -131,6 +130,77 @@ func TestManagementCoreDeniedNFMemory(t *testing.T) {
 	}
 	if err := d.MgmtWrite(0, []byte("os data")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A management access that starts in a mapped free frame and runs past
+// its mapping must fault whole, not read or write the next physical
+// frame, which a live NF owns.
+func TestManagementSpanStopsAtMapping(t *testing.T) {
+	d := newDevice(t)
+	spec := basicSpec()
+	spec.MemBytes = 128 << 10
+	repA, err := d.Launch(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.CoreMask = 0b1100
+	repB, err := d.Launch(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := d.NF(repA.ID).Mem.Start, d.NF(repB.ID).Mem.Start
+	if b != a+128<<10 {
+		t.Skipf("NF frames at %#x and %#x are not adjacent; nothing to test", a, b)
+	}
+	if err := d.NFWrite(repB.ID, 0, []byte("SECRET-B")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Teardown(repA.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.MgmtMap(0, a, 128<<10); err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Repeat([]byte{0xEE}, 16)
+	if err := d.MgmtRead(128<<10-8, buf); err == nil {
+		t.Fatalf("read past the mapping returned %q", buf)
+	}
+	if !bytes.Equal(buf, bytes.Repeat([]byte{0xEE}, 16)) {
+		t.Fatalf("faulting read filled the buffer: %q", buf)
+	}
+	if err := d.MgmtWrite(128<<10-8, []byte("OS-WRITE-OS-WRIT")); err == nil {
+		t.Fatal("write past the mapping accepted")
+	}
+	got := make([]byte, 8)
+	if err := d.NFRead(repB.ID, 0, got); err != nil || string(got) != "SECRET-B" {
+		t.Fatalf("NF B's frame after the management write: %q, %v", got, err)
+	}
+}
+
+// A management read across two mappings walks each one: the bytes come
+// from the first frame's tail and then the second frame's head, not from
+// whatever frame physically follows the first.
+func TestManagementReadCrossesMappings(t *testing.T) {
+	d := newDevice(t)
+	first, _ := d.Memory().AllocBytes(mem.NICOS, 128<<10)
+	d.Memory().AllocBytes(mem.NICOS, 128<<10) // the frame between them
+	second, _ := d.Memory().AllocBytes(mem.NICOS, 128<<10)
+	d.Memory().Write(first.Start+128<<10-4, []byte("TAIL"))
+	d.Memory().Write(first.Start+128<<10, []byte("NEXT"))
+	d.Memory().Write(second.Start, []byte("HEAD"))
+	if err := d.MgmtMap(0, first.Start, 128<<10); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.MgmtMap(128<<10, second.Start, 128<<10); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8)
+	if err := d.MgmtRead(128<<10-4, buf); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf) != "TAILHEAD" {
+		t.Fatalf("read across mappings = %q, want %q", buf, "TAILHEAD")
 	}
 }
 
@@ -533,7 +603,6 @@ func TestLifecycleChurnInvariants(t *testing.T) {
 				CoreMask: mask,
 				Image:    []byte{tag, tag, tag, tag},
 				MemBytes: uint64(1+rng.Intn(4)) << 20,
-				DMACore:  -1,
 			})
 			if err != nil {
 				continue // resource exhaustion is fine; state must stay sane
@@ -594,7 +663,6 @@ func TestPaperExampleProvisioning(t *testing.T) {
 		MemBytes:       40 << 20,
 		CryptoClusters: 2,
 		ZIPClusters:    1,
-		DMACore:        -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -114,20 +114,12 @@ func (g *GuardedBank) Install(e Entry) error {
 	return g.Bank.Install(e)
 }
 
-// Translate resolves va. A translation that was legal at install time but
-// whose target has since been denylisted (a live NF now owns it) is also
-// refused: the trusted hardware re-checks on use, closing the race between
-// an old mapping and a new nf_launch.
-func (g *GuardedBank) Translate(va VAddr, need Perm) (mem.Addr, error) {
-	pa, err := g.Bank.Translate(va, need)
-	if err != nil {
-		return 0, err
-	}
-	if g.Denylist.Denied(pa, 1) {
-		g.obsDenied.Inc()
-		return 0, ErrDenied
-	}
-	return pa, nil
+// Span is Bank.Span for the management core: a piece is also refused if
+// any frame in it has been denylisted since the mapping was installed (a
+// live NF now owns it). The trusted hardware re-checks on use, closing
+// the race between an old mapping and a new nf_launch.
+func (g *GuardedBank) Span(va VAddr, n int, need Perm, move func(pa mem.Addr, off, n int) error) error {
+	return g.Bank.span(va, n, need, g, move)
 }
 
 // Evict removes the entry mapping va, modelling a software TLB flush. The

@@ -132,6 +132,61 @@ func (b *Bank) Lock() { b.locked = true }
 // Translate resolves va with the required permission, returning the
 // physical address.
 func (b *Bank) Translate(va VAddr, need Perm) (mem.Addr, error) {
+	i := b.lookup(va)
+	if i < 0 {
+		return 0, b.miss()
+	}
+	e := b.entries[i]
+	if e.Perm&need != need {
+		return 0, ErrPerm
+	}
+	return e.PA + mem.Addr(uint64(va-e.VA)), nil
+}
+
+// Span moves the n bytes at [va, va+n) through the bank: every byte must
+// translate with permission need. The whole span is checked before any
+// byte moves, so a span that faults returns the fault and never calls
+// move. Otherwise move runs once per entry the span crosses, in order,
+// with the piece's physical base, its offset into the span, and its
+// length. This is the one path every TLB-checked transfer takes: an
+// access running past its mapping is a fault, never a window onto the
+// next frame.
+func (b *Bank) Span(va VAddr, n int, need Perm, move func(pa mem.Addr, off, n int) error) error {
+	return b.span(va, n, need, nil, move)
+}
+
+// span is Span with an optional denylist re-check (g non-nil): pass 0
+// validates every piece, pass 1 copies them.
+func (b *Bank) span(va VAddr, n int, need Perm, g *GuardedBank, move func(pa mem.Addr, off, n int) error) error {
+	for pass := 0; pass < 2; pass++ {
+		i := b.lookup(va)
+		for off := 0; off < n; i++ {
+			cur := va + VAddr(off)
+			if i < 0 || i >= len(b.entries) || !b.entries[i].contains(cur) {
+				return b.miss()
+			}
+			e := &b.entries[i]
+			if e.Perm&need != need {
+				return ErrPerm
+			}
+			pa := e.PA + mem.Addr(uint64(cur-e.VA))
+			k := int(min(uint64(n-off), e.Size-uint64(cur-e.VA)))
+			if pass == 1 {
+				if err := move(pa, off, k); err != nil {
+					return err
+				}
+			} else if g != nil && g.Denylist.Denied(pa, uint64(k)) {
+				g.obsDenied.Inc()
+				return ErrDenied
+			}
+			off += k
+		}
+	}
+	return nil
+}
+
+// lookup returns the index of the entry containing va, or -1.
+func (b *Bank) lookup(va VAddr) int {
 	// Binary search over sorted, non-overlapping entries.
 	lo, hi := 0, len(b.entries)-1
 	for lo <= hi {
@@ -139,23 +194,25 @@ func (b *Bank) Translate(va VAddr, need Perm) (mem.Addr, error) {
 		e := b.entries[mid]
 		switch {
 		case e.contains(va):
-			if e.Perm&need != need {
-				return 0, ErrPerm
-			}
-			return e.PA + mem.Addr(uint64(va-e.VA)), nil
+			return mid
 		case va < e.VA:
 			hi = mid - 1
 		default:
 			lo = mid + 1
 		}
 	}
+	return -1
+}
+
+// miss counts a failed translation and returns ErrMiss.
+func (b *Bank) miss() error {
 	b.misses++
 	b.obsMisses.Inc()
 	if b.locked {
 		// On a locked S-NIC bank a miss is a fatal fault, not a refill.
 		b.obsLockedFaults.Inc()
 	}
-	return 0, ErrMiss
+	return ErrMiss
 }
 
 // Entries returns a copy of the installed entries (for attestation

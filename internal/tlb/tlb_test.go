@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,9 @@ func entry(vaPage, paPage int, perm Perm) Entry {
 		Perm: perm,
 	}
 }
+
+// nop is a Span callback that moves nothing.
+func nop(mem.Addr, int, int) error { return nil }
 
 func TestInstallAndTranslate(t *testing.T) {
 	b := NewBank(4)
@@ -179,7 +183,7 @@ func TestGuardedBankRejectsDeniedFill(t *testing.T) {
 	if err := g.Install(entry(0, 2, PermRW)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Translate(0, PermRead); err != nil {
+	if err := g.Span(0, 1, PermRead, nop); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,8 +196,23 @@ func TestGuardedBankRevokesStaleMapping(t *testing.T) {
 	}
 	// The OS held a valid mapping; then an NF launched over that memory.
 	d.Deny(mem.Addr(3*page), page, mem.FirstNF)
-	if _, err := g.Translate(0, PermRead); !errors.Is(err, ErrDenied) {
+	if err := g.Span(0, 1, PermRead, nop); !errors.Is(err, ErrDenied) {
 		t.Fatalf("stale mapping still usable: %v", err)
+	}
+	// A two-frame mapping whose second frame an NF takes after install:
+	// the first frame stays usable, but a span reaching the second is
+	// refused whole, even though its first byte is clean.
+	if err := g.Install(Entry{VA: 4 * page, PA: 6 * page, Size: 2 * page, Perm: PermRW}); err != nil {
+		t.Fatal(err)
+	}
+	d.Deny(mem.Addr(7*page), page, mem.FirstNF)
+	if err := g.Span(4*page, page, PermRead, nop); err != nil {
+		t.Fatalf("clean first frame refused: %v", err)
+	}
+	moved := 0
+	err := g.Span(5*page-8, 16, PermRead, func(mem.Addr, int, int) error { moved++; return nil })
+	if !errors.Is(err, ErrDenied) || moved != 0 {
+		t.Fatalf("span into a denied frame: err %v, %d pieces moved", err, moved)
 	}
 }
 
@@ -207,7 +226,7 @@ func TestGuardedBankEvict(t *testing.T) {
 	if g.Evict(VAddr(10)) {
 		t.Fatal("double evict succeeded")
 	}
-	if _, err := g.Translate(0, PermRead); !errors.Is(err, ErrMiss) {
+	if err := g.Span(0, 1, PermRead, nop); !errors.Is(err, ErrMiss) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -275,4 +294,123 @@ func TestTranslationProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Span walks the entries it crosses and moves one piece per entry, with
+// no allocation of its own.
+func TestSpanPiecesAndAllocs(t *testing.T) {
+	b := NewBank(4)
+	b.Install(entry(0, 9, PermRW))
+	b.Install(entry(1, 3, PermRW))
+	type piece struct {
+		pa     mem.Addr
+		off, n int
+	}
+	var got []piece
+	if err := b.Span(page-4, 10, PermRead, func(pa mem.Addr, off, n int) error {
+		got = append(got, piece{pa, off, n})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []piece{{9*page + page - 4, 0, 4}, {3 * page, 4, 6}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pieces = %v, want %v", got, want)
+	}
+	var sum int
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Span(page-4, 10, PermRead, func(pa mem.Addr, off, n int) error {
+			sum += n
+			return nil
+		})
+	})
+	if allocs != 0 {
+		t.Fatalf("Span allocates %.0f times per call", allocs)
+	}
+}
+
+// FuzzSpan checks Span against per-byte Translate on a random bank: the
+// span succeeds exactly when every byte translates, and its pieces cover
+// the span in order at each byte's physical address. The guarded form,
+// with frames denylisted after install, must refuse exactly when some
+// byte also lands in a denied frame. A refused span moves nothing.
+func FuzzSpan(f *testing.F) {
+	const unit, frame = 16, 64 // smallest page and denylist frame, bytes
+	f.Fuzz(func(t *testing.T, layout []byte, va, n uint16, deny uint64, write bool) {
+		d := NewDenylist(frame)
+		g := NewGuardedBank(8, d)
+		next := uint64(0)
+		for i := 0; i+1 < len(layout) && g.Bank.Len() < 8; i += 2 {
+			size := uint64(unit) << (layout[i] & 3)
+			next = (next + size - 1) / size * size
+			if layout[i]&4 != 0 {
+				next += size // leave a hole
+			}
+			perm := Perm(layout[i] >> 3 & 3)
+			if perm == 0 {
+				perm = PermRW
+			}
+			e := Entry{VA: VAddr(next), PA: mem.Addr(uint64(layout[i+1]) * size), Size: size, Perm: perm}
+			if err := g.Install(e); err != nil {
+				t.Fatal(err)
+			}
+			next += size
+		}
+		for pa := uint64(0); pa < 256*unit<<3; pa += frame { // every PA an entry can reach
+			if deny>>(pa/frame%64)&1 != 0 {
+				d.Deny(mem.Addr(pa), frame, mem.FirstNF)
+			}
+		}
+		need := PermRead
+		if write {
+			need = PermWrite
+		}
+		start, size := VAddr(va%2048), int(n%1024)
+
+		// The oracle: translate byte by byte.
+		want := make([]mem.Addr, size)
+		var wantErr error
+		denied := false
+		for i := range want {
+			pa, err := g.Bank.Translate(start+VAddr(i), need)
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want[i] = pa
+			denied = denied || d.Denied(pa, 1)
+		}
+
+		check := func(name string, span func(VAddr, int, Perm, func(mem.Addr, int, int) error) error, ok bool) {
+			covered := 0
+			err := span(start, size, need, func(pa mem.Addr, off, k int) error {
+				if off != covered || k <= 0 {
+					t.Fatalf("%s: piece at offset %d of length %d after %d bytes", name, off, k, covered)
+				}
+				for j := 0; j < k; j++ {
+					if pa+mem.Addr(j) != want[off+j] {
+						t.Fatalf("%s: byte %d at %#x, Translate says %#x", name, off+j, pa+mem.Addr(j), want[off+j])
+					}
+				}
+				covered += k
+				return nil
+			})
+			if (err == nil) != ok {
+				t.Fatalf("%s: err %v, want success %v", name, err, ok)
+			}
+			if err != nil && covered != 0 {
+				t.Fatalf("%s: refused span moved %d bytes", name, covered)
+			}
+			if err == nil && covered != size {
+				t.Fatalf("%s: pieces cover %d of %d bytes", name, covered, size)
+			}
+		}
+		check("Bank.Span", g.Bank.Span, wantErr == nil)
+		if wantErr != nil {
+			if err := g.Bank.Span(start, size, need, nop); !errors.Is(err, wantErr) {
+				t.Fatalf("Bank.Span: err %v, first faulting byte says %v", err, wantErr)
+			}
+		}
+		check("GuardedBank.Span", g.Span, wantErr == nil && !denied)
+	})
 }
