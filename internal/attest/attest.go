@@ -18,12 +18,12 @@
 // library.
 //
 // The DH contributions g^x and g^y use a fixed-base exponentiation: a
-// table of g^(2^(6i)) mod p (342 entries, ~88 KB) is built lazily on the
-// first exponentiation, never at package init, and then makes each g^x
-// about three times cheaper than big.Int.Exp. The secret keeps its full
-// range, x uniform in [0, p); short exponents were rejected because they
-// would shrink that range. Peer DH values outside [2, p-2] are refused
-// with ErrBadDHPub.
+// Lim–Lee comb table of products of powers of g (2,040 entries, 512 KB)
+// is built lazily on the first exponentiation, never at package init,
+// and then makes each g^x about five times cheaper than big.Int.Exp.
+// The secret keeps its full range, x uniform in [0, p); short exponents
+// were rejected because they would shrink that range. Peer DH values
+// outside [2, p-2] are refused with ErrBadDHPub.
 package attest
 
 import (

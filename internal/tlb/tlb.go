@@ -114,8 +114,14 @@ func (b *Bank) Install(e Entry) error {
 	if e.Size == 0 || uint64(e.VA)%e.Size != 0 || uint64(e.PA)%e.Size != 0 || e.Perm == 0 {
 		return ErrBadEntry
 	}
+	// Ranges are compared by their inclusive last bytes: VA+Size wraps to
+	// 0 for an entry that ends at 2^64, VA+Size-1 does not.
+	last := uint64(e.VA) + (e.Size - 1)
+	if last < uint64(e.VA) {
+		return ErrBadEntry // runs past the top of the address space
+	}
 	for _, x := range b.entries {
-		if uint64(e.VA) < uint64(x.VA)+x.Size && uint64(x.VA) < uint64(e.VA)+e.Size {
+		if uint64(e.VA) <= uint64(x.VA)+(x.Size-1) && uint64(x.VA) <= last {
 			return fmt.Errorf("%w: VA overlap [%#x,+%#x)", ErrBadEntry, e.VA, e.Size)
 		}
 	}

@@ -113,6 +113,24 @@ func TestRejectOverlap(t *testing.T) {
 	}
 }
 
+// TestRejectOverlapAtTop installs an entry that ends at 2^64, where
+// VA+Size wraps to 0, and then one inside it.
+func TestRejectOverlapAtTop(t *testing.T) {
+	b := NewBank(4)
+	if err := b.Install(Entry{VA: 1 << 63, PA: 0, Size: 1 << 63, Perm: PermRW}); err != nil {
+		t.Fatal(err)
+	}
+	inner := Entry{VA: VAddr(1<<64 - 128<<10), PA: 0, Size: 128 << 10, Perm: PermRW}
+	if err := b.Install(inner); !errors.Is(err, ErrBadEntry) || b.Len() != 1 {
+		t.Fatalf("overlap at the top accepted: %v (Len %d)", err, b.Len())
+	}
+	// A size that does not divide 2^64 can sit aligned at a VA whose
+	// range would run past the top.
+	if err := b.Install(Entry{VA: VAddr(1<<64 - 1), PA: 0, Size: 3, Perm: PermRW}); !errors.Is(err, ErrBadEntry) {
+		t.Fatalf("entry past 2^64 accepted: %v", err)
+	}
+}
+
 func TestVariablePageSizes(t *testing.T) {
 	b := NewBank(3)
 	sizes := []uint64{128 << 10, 2 << 20, 32 << 20}
