@@ -41,7 +41,7 @@ func run(w io.Writer) error {
 	dev, vendor := adapter.Underlying(), adapter.Vendor()
 	osd := nicos.New(dev)
 	fmt.Fprintln(w, "S-NIC up:", dev.Cores(), "programmable cores,",
-		adapter.MemBytes()>>20, "MB DRAM")
+		adapter.Resources().MemBytes>>20, "MB DRAM")
 
 	// 2. The tenant's firewall policy: drop cleartext HTTP, allow HTTPS
 	// (no matching rule means pass). Decisions are cached per flow.

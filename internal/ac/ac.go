@@ -125,12 +125,6 @@ func Compile(patterns [][]byte) (*Automaton, error) {
 	return a, nil
 }
 
-// States returns the number of automaton states.
-func (a *Automaton) States() int { return len(a.out) }
-
-// Classes returns the number of byte equivalence classes.
-func (a *Automaton) Classes() int { return a.nclasses }
-
 // MemoryBytes estimates the DRAM footprint of the flattened graph: the
 // class-compressed transition table, the byte-class map, and the output
 // lists. This is the "Graph" entry of Table 7.
@@ -152,31 +146,6 @@ func (a *Automaton) Scan(input []byte, dst []Match) []Match {
 		}
 	}
 	return dst
-}
-
-// Contains reports whether any pattern occurs in input (early exit).
-func (a *Automaton) Contains(input []byte) bool {
-	s := int32(0)
-	nc := a.nclasses
-	for _, b := range input {
-		s = a.next[int(s)*nc+int(a.classOf[b])]
-		if len(a.out[s]) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// StateWalk returns the state sequence length (equal to len(input)) and
-// final state; used by the accelerator model to meter graph-cache traffic
-// deterministically without allocating matches.
-func (a *Automaton) StateWalk(input []byte) (visited int, final int32) {
-	s := int32(0)
-	nc := a.nclasses
-	for _, b := range input {
-		s = a.next[int(s)*nc+int(a.classOf[b])]
-	}
-	return len(input), s
 }
 
 // trieStates counts the trie's states — one per distinct pattern prefix,

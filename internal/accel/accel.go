@@ -67,9 +67,6 @@ type Cluster struct {
 	owner   mem.Owner
 }
 
-// Owner returns the NF the cluster is bound to (mem.Free if unbound).
-func (c *Cluster) Owner() mem.Owner { return c.owner }
-
 // Accelerator is one physical accelerator: a fixed thread pool statically
 // grouped into clusters ("current NICs only support clustering threads at
 // a granularity of 16 threads", §C — the granularity is configurable
@@ -102,9 +99,6 @@ func New(kind Kind, totalThreads, threadsPerCluster int) (*Accelerator, error) {
 	}
 	return a, nil
 }
-
-// Kind returns the accelerator type.
-func (a *Accelerator) Kind() Kind { return a.kind }
 
 // Observe attaches per-owner cluster allocation counters and a
 // bound-cluster gauge to reg under the given device label (component
@@ -140,17 +134,6 @@ func (a *Accelerator) boundClusters() int64 {
 
 // NumClusters returns how many clusters exist.
 func (a *Accelerator) NumClusters() int { return len(a.clusters) }
-
-// FreeClusters returns how many clusters are unbound.
-func (a *Accelerator) FreeClusters() int {
-	n := 0
-	for _, c := range a.clusters {
-		if c.owner == mem.Free {
-			n++
-		}
-	}
-	return n
-}
 
 // Alloc binds count clusters to owner, installing the given TLB entries in
 // each cluster's bank and locking it. This is the accelerator half of

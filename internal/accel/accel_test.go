@@ -10,6 +10,14 @@ import (
 
 const page = 128 << 10
 
+// free returns how many clusters are unbound.
+func free(a *Accelerator) int { return a.NumClusters() - int(a.boundClusters()) }
+
+// locked reports whether b refuses new mappings.
+func locked(b *tlb.Bank) bool {
+	return errors.Is(b.Install(tlb.Entry{VA: 1 << 40, Size: page, Perm: tlb.PermRead}), tlb.ErrLocked)
+}
+
 func setup(t *testing.T) (*mem.Physical, *Accelerator) {
 	t.Helper()
 	pm, err := mem.NewPhysical(64<<20, page)
@@ -51,8 +59,8 @@ func TestGeometryValidation(t *testing.T) {
 		t.Fatal("non-dividing cluster size accepted")
 	}
 	a, _ := New(ZIP, 64, 8)
-	if a.NumClusters() != 8 || a.FreeClusters() != 8 {
-		t.Fatalf("clusters = %d free = %d", a.NumClusters(), a.FreeClusters())
+	if a.NumClusters() != 8 || free(a) != 8 {
+		t.Fatalf("clusters = %d free = %d", a.NumClusters(), free(a))
 	}
 }
 
@@ -63,18 +71,18 @@ func TestAllocBindsAndReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cs) != 2 || a.FreeClusters() != 2 {
-		t.Fatalf("bound %d, free %d", len(cs), a.FreeClusters())
+	if len(cs) != 2 || free(a) != 2 {
+		t.Fatalf("bound %d, free %d", len(cs), free(a))
 	}
 	for _, c := range cs {
-		if c.Owner() != mem.FirstNF || !c.TLB.Locked() {
+		if c.owner != mem.FirstNF || !locked(c.TLB) {
 			t.Fatal("cluster not bound/locked")
 		}
 	}
 	if n := a.Release(mem.FirstNF); n != 2 {
 		t.Fatalf("released %d", n)
 	}
-	if a.FreeClusters() != 4 {
+	if free(a) != 4 {
 		t.Fatal("release did not free")
 	}
 }
@@ -85,7 +93,7 @@ func TestAllocInsufficientClusters(t *testing.T) {
 	if _, err := a.Alloc(mem.FirstNF, 5, entries); err == nil {
 		t.Fatal("overallocation accepted")
 	}
-	if a.FreeClusters() != 4 {
+	if free(a) != 4 {
 		t.Fatal("failed alloc leaked clusters")
 	}
 }
@@ -97,7 +105,7 @@ func TestAllocAtomicUnwind(t *testing.T) {
 	if _, err := a.Alloc(mem.FirstNF, 2, bad); err == nil {
 		t.Fatal("bad entries accepted")
 	}
-	if a.FreeClusters() != 4 {
+	if free(a) != 4 {
 		t.Fatal("failed alloc left clusters bound")
 	}
 }
@@ -132,7 +140,7 @@ func TestClusterTLBTranslatesOwnMemoryOnly(t *testing.T) {
 		t.Fatalf("locked bank took a mapping of NF B's page: %v", err)
 	}
 	a.Release(mem.FirstNF)
-	if csA[0].Owner() != mem.Free {
+	if csA[0].owner != mem.Free {
 		t.Fatal("release left the cluster bound")
 	}
 	if _, err := csA[0].TLB.Translate(0, tlb.PermRead); !errors.Is(err, tlb.ErrMiss) {
@@ -146,7 +154,7 @@ func TestUnboundClusterRefusesWork(t *testing.T) {
 	pm, a := setup(t)
 	mapRegion(t, pm, mem.FirstNF, page)
 	for _, c := range a.clusters {
-		if c.Owner() != mem.Free || c.TLB.Locked() {
+		if c.owner != mem.Free {
 			t.Fatalf("cluster %d bound before any Alloc", c.ID)
 		}
 		if _, err := c.TLB.Translate(0, tlb.PermRead); !errors.Is(err, tlb.ErrMiss) {

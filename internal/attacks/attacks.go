@@ -220,7 +220,7 @@ func scanFor(dev device.NIC, attacker device.FuncID, sig []byte) (mem.Addr, bool
 		return 0, false
 	}
 	buf := make([]byte, chunk+len(sig)-1)
-	total := dev.MemBytes()
+	total := dev.Resources().MemBytes
 	for base := uint64(0); base < total; base += chunk {
 		n := uint64(len(buf))
 		if base+n > total {

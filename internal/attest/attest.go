@@ -143,7 +143,6 @@ func akDigest(akPub []byte) []byte {
 // state (§4.6).
 type LaunchHash struct {
 	h [32]byte
-	n int
 }
 
 // Add folds a labeled component (code pages, rules, masks) into the hash.
@@ -156,14 +155,10 @@ func (l *LaunchHash) Add(label string, data []byte) {
 	h.Write([]byte(label))
 	h.Write(data)
 	copy(l.h[:], h.Sum(nil))
-	l.n++
 }
 
 // Sum returns the current cumulative hash.
 func (l *LaunchHash) Sum() [32]byte { return l.h }
-
-// Components returns how many components have been folded in.
-func (l *LaunchHash) Components() int { return l.n }
 
 // Group14P is the RFC 3526 2048-bit MODP prime; G is its generator.
 var (

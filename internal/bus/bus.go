@@ -337,9 +337,3 @@ func (tp *Temporal) DeadOverlap(from, to uint64) uint64 {
 		}
 	}
 }
-
-// Epoch returns the epoch length in cycles.
-func (tp *Temporal) Epoch() uint64 { return tp.epoch }
-
-// DeadTime returns the no-issue tail length in cycles.
-func (tp *Temporal) DeadTime() uint64 { return tp.deadTime }

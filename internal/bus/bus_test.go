@@ -225,8 +225,8 @@ func TestNames(t *testing.T) {
 		t.Fatal("arbiter names wrong")
 	}
 	tp := NewTemporal(2, 100, 10)
-	if tp.Epoch() != 100 || tp.DeadTime() != 10 {
-		t.Fatal("temporal accessors wrong")
+	if tp.epoch != 100 || tp.deadTime != 10 {
+		t.Fatal("temporal parameters wrong")
 	}
 	// Config must tell apart every parameter that changes grants.
 	configs := map[string]bool{}

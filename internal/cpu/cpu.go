@@ -54,7 +54,7 @@ type Stream interface {
 // BatchStream is the optional bulk fast path: NextBatch fills buf with
 // the next ops and returns how many were written (0 means exhausted).
 // The ops delivered must be exactly the sequence Next would have
-// produced — Core.Run and Runner.RunInstr use batches to amortize the
+// produced — Runner.RunInstr uses batches to amortize the
 // per-instruction interface call, and the goldens rely on the two paths
 // being indistinguishable.
 type BatchStream interface {
@@ -123,12 +123,12 @@ type Core struct {
 
 	// Latency fields hoisted out of the per-access path by prepare()
 	// (zero-value defaults are re-derived lazily, so direct Step callers
-	// see the same behaviour as Run/RunInstr).
+	// see the same behaviour as RunInstr).
 	l1Lat uint64
 	mlp   uint64
 
 	// Prefetch stash for BatchStream sources. Unconsumed ops survive
-	// across Run/RunInstr calls (warmup then measurement reuse them), so
+	// across RunInstr calls (warmup then measurement reuse them), so
 	// a Core is tied to one stream: handing it a different stream
 	// discards any stashed lookahead from the previous one.
 	batch []Op
@@ -178,10 +178,10 @@ func (c *Core) Step(op Op) {
 }
 
 // prepare caches the clamped latency parameters so the per-access path
-// stops re-reading (and re-clamping) Lat per instruction. Run and
-// RunInstr call it on entry; access self-heals for direct Step callers.
+// stops re-reading (and re-clamping) Lat per instruction. RunInstr
+// calls it on entry; access self-heals for direct Step callers.
 // Callers that mutate Lat between Steps get the refresh on the next
-// Run/RunInstr entry.
+// RunInstr entry.
 func (c *Core) prepare() {
 	c.l1Lat = c.Lat.L1Hit
 	if c.l1Lat == 0 {
@@ -251,21 +251,6 @@ func (c *Core) nextOp(s Stream) (Op, bool) {
 	}
 	c.bi = 1
 	return c.batch[0], true
-}
-
-// Run executes up to maxInstr instructions from stream (or until the
-// stream ends), returning the instructions actually retired.
-func (c *Core) Run(stream Stream, maxInstr uint64) uint64 {
-	c.prepare()
-	start := c.instret
-	for c.instret-start < maxInstr {
-		op, ok := c.nextOp(stream)
-		if !ok {
-			break
-		}
-		c.Step(op)
-	}
-	return c.instret - start
 }
 
 // Runner interleaves multiple cores in cycle quanta so shared-resource

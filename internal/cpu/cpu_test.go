@@ -32,6 +32,11 @@ func newL1(t *testing.T) *cache.Cache {
 	return c
 }
 
+// solo returns a one-core Runner executing s on c.
+func solo(c *Core, s Stream) *Runner {
+	return &Runner{Cores: []*Core{c}, Streams: []Stream{s}}
+}
+
 func TestComputeIPCIsOne(t *testing.T) {
 	c := &Core{Lat: DefaultLatencies()}
 	c.Step(Op{Kind: Compute, N: 1000})
@@ -109,17 +114,17 @@ func TestRunStopsAtMaxInstr(t *testing.T) {
 		ops[i] = Op{Kind: Compute, N: 1}
 	}
 	c := &Core{Lat: DefaultLatencies()}
-	n := c.Run(&SliceStream{Ops: ops}, 40)
-	if n != 40 {
-		t.Fatalf("ran %d instructions", n)
+	solo(c, &SliceStream{Ops: ops}).RunInstr(40)
+	if c.Instret() != 40 {
+		t.Fatalf("ran %d instructions", c.Instret())
 	}
 }
 
 func TestRunStopsAtStreamEnd(t *testing.T) {
 	c := &Core{Lat: DefaultLatencies()}
-	n := c.Run(&SliceStream{Ops: []Op{{Kind: Compute, N: 5}}}, 1000)
-	if n != 5 {
-		t.Fatalf("ran %d instructions", n)
+	solo(c, &SliceStream{Ops: []Op{{Kind: Compute, N: 5}}}).RunInstr(1000)
+	if c.Instret() != 5 {
+		t.Fatalf("ran %d instructions", c.Instret())
 	}
 }
 
@@ -296,9 +301,10 @@ func TestNextBatchMatchesNext(t *testing.T) {
 }
 
 // TestRunBatchedMatchesUnbatched runs the identical stream through a
-// batching Core and a Core whose stream hides NextBatch, across multiple
-// Run calls (so the prefetch stash must survive a warmup/measure split),
-// asserting identical retired-instruction and cycle counts.
+// batching Core and a Core whose stream hides NextBatch, each alone on a
+// Runner, across multiple RunInstr calls (so the prefetch stash must
+// survive a warmup/measure split), asserting identical
+// retired-instruction and cycle counts.
 func TestRunBatchedMatchesUnbatched(t *testing.T) {
 	ops := mixedOps(4000)
 	mk := func() *Core {
@@ -306,10 +312,11 @@ func TestRunBatchedMatchesUnbatched(t *testing.T) {
 	}
 	batched, plain := mk(), mk()
 	bs, ps := &SliceStream{Ops: ops}, nextOnly{&SliceStream{Ops: ops}}
+	rb, rp := solo(batched, bs), solo(plain, ps)
 	// Split the run at an instruction count that lands mid-batch.
 	for _, chunk := range []uint64{37, 963, 100000} {
-		batched.Run(bs, chunk)
-		plain.Run(ps, chunk)
+		rb.RunInstr(chunk)
+		rp.RunInstr(chunk)
 		if batched.Instret() != plain.Instret() || batched.Cycle() != plain.Cycle() {
 			t.Fatalf("after chunk %d: batched (instret %d, cycle %d) != plain (instret %d, cycle %d)",
 				chunk, batched.Instret(), batched.Cycle(), plain.Instret(), plain.Cycle())
@@ -368,18 +375,23 @@ func TestStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestRunDoesNotAllocate pins the batched Run path at zero steady-state
-// allocations: the prefetch buffer is allocated once on first use and
-// reused afterwards.
+// TestRunDoesNotAllocate pins the batched RunInstr path at zero
+// per-instruction allocations: the prefetch buffer is allocated once on
+// first use and reused afterwards, so a long call allocates no more than
+// a short one (the Runner's per-call bookkeeping).
 func TestRunDoesNotAllocate(t *testing.T) {
 	c := &Core{L1: newL1(t), L2: newL2(t, cache.Static, 2, 128<<10), Lat: DefaultLatencies()}
 	s := &SliceStream{Ops: mixedOps(4096)}
-	c.Run(s, 64) // warm the stash buffer
-	if avg := testing.AllocsPerRun(100, func() {
-		s.i = 0
-		c.Run(s, 32)
-	}); avg != 0 {
-		t.Errorf("Run allocates %.1f times per call, want 0", avg)
+	r := solo(c, s)
+	r.RunInstr(64) // warm the stash buffer
+	allocs := func(n uint64) float64 {
+		return testing.AllocsPerRun(100, func() {
+			s.i = 0
+			r.RunInstr(n)
+		})
+	}
+	if short, long := allocs(32), allocs(2048); long != short {
+		t.Errorf("RunInstr allocates %.1f times for 2048 instructions, %.1f for 32", long, short)
 	}
 }
 

@@ -74,10 +74,7 @@ func newCommBase(model string, caps Capability, spec Spec) (commBase, error) {
 func (c *commBase) Model() string        { return c.model }
 func (c *commBase) Caps() Capability     { return c.caps }
 func (c *commBase) Resources() Resources { return c.res }
-func (c *commBase) Cores() int           { return len(c.cores.owner) }
 func (c *commBase) FreeCores() int       { return c.cores.free() }
-func (c *commBase) Live() int            { return len(c.funcs) }
-func (c *commBase) MemBytes() uint64     { return c.pm.Size() }
 func (c *commBase) FrameSize() uint64    { return c.pm.FrameSize() }
 
 // Attest: commodity models have no launch measurement to sign.

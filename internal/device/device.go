@@ -189,12 +189,8 @@ type NIC interface {
 	// Resources reports the device's schedulable capacity vector — what
 	// a fleet-level placer bin-packs tenant functions against.
 	Resources() Resources
-	MemBytes() uint64
 	FrameSize() uint64
-	Cores() int
 	FreeCores() int
-	// Live returns the number of running functions.
-	Live() int
 
 	// CachePolicy returns the shared-L2 partitioning policy the model
 	// uses — the substrate prime+probe and the co-tenancy sweeps run on.

@@ -72,9 +72,8 @@ func TestConformanceLifecycle(t *testing.T) {
 			if dev.Model() != model {
 				t.Fatalf("Model() = %q", dev.Model())
 			}
-			if dev.Cores() != 2 || dev.FreeCores() != 2 || dev.Live() != 0 {
-				t.Fatalf("fresh device: cores=%d free=%d live=%d",
-					dev.Cores(), dev.FreeCores(), dev.Live())
+			if dev.Resources().Cores != 2 || dev.FreeCores() != 2 {
+				t.Fatalf("fresh device: cores=%d free=%d", dev.Resources().Cores, dev.FreeCores())
 			}
 			a, err := dev.Launch(FuncSpec{Name: "a", MemBytes: 256 << 10, CoreMask: 0b01})
 			if err != nil {
@@ -91,8 +90,8 @@ func TestConformanceLifecycle(t *testing.T) {
 			if a == b {
 				t.Fatal("duplicate function IDs")
 			}
-			if dev.FreeCores() != 0 || dev.Live() != 2 {
-				t.Fatalf("after 2 launches: free=%d live=%d", dev.FreeCores(), dev.Live())
+			if dev.FreeCores() != 0 {
+				t.Fatalf("after 2 launches: free=%d", dev.FreeCores())
 			}
 			if _, err := dev.Launch(FuncSpec{Name: "c", MemBytes: 256 << 10}); err == nil {
 				t.Fatal("launch beyond core count succeeded")
@@ -103,8 +102,8 @@ func TestConformanceLifecycle(t *testing.T) {
 			if err := dev.Teardown(a); !errors.Is(err, ErrNoFunc) {
 				t.Fatalf("double teardown: %v", err)
 			}
-			if dev.FreeCores() != 1 || dev.Live() != 1 {
-				t.Fatalf("after teardown: free=%d live=%d", dev.FreeCores(), dev.Live())
+			if dev.FreeCores() != 1 {
+				t.Fatalf("after teardown: free=%d", dev.FreeCores())
 			}
 			c, err := dev.Launch(FuncSpec{Name: "c", MemBytes: 256 << 10, CoreMask: 0b01})
 			if err != nil {
@@ -388,8 +387,8 @@ func TestConformanceChurn(t *testing.T) {
 		for _, fast := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/fast=%v", model, fast), func(t *testing.T) {
 				n, c, seen := run(t, model, fast)
-				if n.Live() != 0 || n.FreeCores() != n.Cores() {
-					t.Errorf("after the run: %d live, %d/%d cores free", n.Live(), n.FreeCores(), n.Cores())
+				if cores := n.Resources().Cores; n.FreeCores() != cores {
+					t.Errorf("after the run: %d/%d cores free", n.FreeCores(), cores)
 				}
 				if c.Launches == 0 || c.Launches != c.Teardowns {
 					t.Errorf("launches %d, teardowns %d", c.Launches, c.Teardowns)
@@ -479,14 +478,14 @@ func TestConformanceResources(t *testing.T) {
 	for _, model := range Models() {
 		t.Run(model, func(t *testing.T) {
 			dev := build(t, model)
-			r := dev.Resources()
-			if r.Cores != dev.Cores() {
-				t.Fatalf("Resources().Cores = %d, Cores() = %d", r.Cores, dev.Cores())
+			r, spec := dev.Resources(), testSpec(model)
+			if r.Cores != spec.Cores {
+				t.Fatalf("Resources().Cores = %d, spec %d", r.Cores, spec.Cores)
 			}
-			if r.MemBytes != dev.MemBytes() {
-				t.Fatalf("Resources().MemBytes = %d, MemBytes() = %d", r.MemBytes, dev.MemBytes())
+			if r.MemBytes != spec.MemBytes {
+				t.Fatalf("Resources().MemBytes = %d, spec %d", r.MemBytes, spec.MemBytes)
 			}
-			if r.TLBEntries != dev.Cores()*TLBEntriesPerCore {
+			if r.TLBEntries != spec.Cores*TLBEntriesPerCore {
 				t.Fatalf("Resources().TLBEntries = %d", r.TLBEntries)
 			}
 			if r.CacheWays != DefaultCacheWays {
@@ -549,9 +548,6 @@ func TestResourcesVector(t *testing.T) {
 	}
 	if back := rem.Add(d); back != cap {
 		t.Fatalf("Add(Sub) != identity: %+v", back)
-	}
-	if !(Resources{}).IsZero() || d.IsZero() {
-		t.Fatal("IsZero wrong")
 	}
 	defer func() {
 		if recover() == nil {

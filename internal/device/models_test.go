@@ -103,7 +103,7 @@ func TestAgilioWatchdogAndCrypto(t *testing.T) {
 // secure-world OS reads freely.
 func TestBlueFieldWorlds(t *testing.T) {
 	dev := build(t, "bluefield")
-	secureBase := mem.Addr(dev.MemBytes() / 4 * 3)
+	secureBase := mem.Addr(dev.Resources().MemBytes / 4 * 3)
 	victim, _ := dev.Launch(FuncSpec{Name: "victim", MemBytes: 4096})
 	attacker, _ := dev.Launch(FuncSpec{Name: "attacker", MemBytes: 4096})
 	if err := dev.Write(victim, 0, []byte("trusted state")); err != nil {

@@ -77,9 +77,6 @@ func (r Resources) Sub(d Resources) Resources {
 	return r
 }
 
-// IsZero reports whether every axis is zero.
-func (r Resources) IsZero() bool { return r == Resources{} }
-
 func (r Resources) String() string {
 	return fmt.Sprintf("cores=%d mem=%dKB tlb=%d ways=%d clusters=%d",
 		r.Cores, r.MemBytes>>10, r.TLBEntries, r.CacheWays, r.AccelClusters)

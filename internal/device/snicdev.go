@@ -265,11 +265,8 @@ func (s *SNIC) Resources() Resources {
 	}
 }
 
-func (s *SNIC) MemBytes() uint64  { return s.dev.Memory().Size() }
 func (s *SNIC) FrameSize() uint64 { return s.dev.Memory().FrameSize() }
-func (s *SNIC) Cores() int        { return s.dev.Cores() }
 func (s *SNIC) FreeCores() int    { return s.dev.FreeCores() }
-func (s *SNIC) Live() int         { return s.dev.LiveNFs() }
 
 func (s *SNIC) CachePolicy() cache.Policy { return cache.Static }
 

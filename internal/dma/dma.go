@@ -89,9 +89,6 @@ func (b *Bank) Unbind() {
 	b.nicTLB = tlb.NewBank(2)
 }
 
-// Owner returns the bound NF.
-func (b *Bank) Owner() mem.Owner { return b.owner }
-
 // ToHost copies n bytes from the NF's NIC memory at nicVA into the
 // sanctioned host window at hostOff.
 func (b *Bank) ToHost(pm *mem.Physical, nicVA tlb.VAddr, n int, hostOff int) error {

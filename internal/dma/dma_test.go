@@ -113,7 +113,7 @@ func TestUnbindThenRebind(t *testing.T) {
 	pm, c, r, host := setup(t)
 	b := c.Bank(0)
 	b.Unbind()
-	if b.Owner() != mem.Free {
+	if b.owner != mem.Free {
 		t.Fatal("owner not cleared")
 	}
 	if err := b.ToHost(pm, 0, 8, 0); err == nil {
@@ -123,7 +123,7 @@ func TestUnbindThenRebind(t *testing.T) {
 	if err := b.Bind(mem.FirstNF+2, entries, host); err != nil {
 		t.Fatal(err)
 	}
-	if b.Owner() != mem.FirstNF+2 {
+	if b.owner != mem.FirstNF+2 {
 		t.Fatal("rebind failed")
 	}
 }

@@ -64,8 +64,8 @@ func NewCheckpoint(experiment, key string, seed uint64, shards int) *Checkpoint 
 	return ck
 }
 
-// LoadCheckpoint reads a checkpoint file written by WriteFile (or an
-// autosave) and arms autosaving back to the same path.
+// LoadCheckpoint reads a checkpoint file written by an autosave and arms
+// autosaving back to the same path.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -100,33 +100,6 @@ func LoadOrCreateCheckpoint(path, experiment, key string, seed uint64, shards in
 		return nil, fmt.Errorf("engine: checkpoint %s: %w", path, err)
 	}
 	return ck, nil
-}
-
-// Autosave arms (or, with an empty path, disarms) persistence: every
-// subsequent save/finish atomically rewrites the file.
-func (c *Checkpoint) Autosave(path string) {
-	c.mu.Lock()
-	c.path = path
-	c.mu.Unlock()
-}
-
-// Done reports whether every shard has a final result.
-func (c *Checkpoint) Done() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.Shards {
-		if !c.Shards[i].Done {
-			return false
-		}
-	}
-	return true
-}
-
-// WriteFile atomically persists the checkpoint to path.
-func (c *Checkpoint) WriteFile(path string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writeLocked(path)
 }
 
 func (c *Checkpoint) compatible(experiment, key string, seed uint64, shards int) error {
@@ -190,23 +163,20 @@ func (c *Checkpoint) finish(i int, result any) error {
 	return c.persistLocked()
 }
 
+// persistLocked atomically rewrites the autosave file, if one is armed.
 func (c *Checkpoint) persistLocked() error {
 	if c.path == "" {
 		return nil
 	}
-	return c.writeLocked(c.path)
-}
-
-func (c *Checkpoint) writeLocked(path string) error {
 	data, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return fmt.Errorf("engine: marshal checkpoint: %w", err)
 	}
-	tmp := path + ".tmp"
+	tmp := c.path + ".tmp"
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return fmt.Errorf("engine: write checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := os.Rename(tmp, c.path); err != nil {
 		return fmt.Errorf("engine: write checkpoint: %w", err)
 	}
 	return nil

@@ -117,6 +117,16 @@ func TestRunShardedResumesByteIdentically(t *testing.T) {
 	}
 }
 
+// done reports whether every shard of ck has a final result.
+func done(ck *Checkpoint) bool {
+	for _, sh := range ck.Shards {
+		if !sh.Done {
+			return false
+		}
+	}
+	return true
+}
+
 func TestRunShardedSkipsDoneShards(t *testing.T) {
 	ck := NewCheckpoint("shardtest", "sum", 3, 4)
 	spec := sumSpec(4, 20, 0)
@@ -124,7 +134,7 @@ func TestRunShardedSkipsDoneShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ck.Done() {
+	if !done(ck) {
 		t.Fatal("checkpoint not done after full run")
 	}
 	spec.Run = func(*Shard) (shardResult, error) {
@@ -162,8 +172,10 @@ func TestRunShardedRealErrorBeatsInterrupted(t *testing.T) {
 
 func TestCheckpointCompatibility(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
-	ck := NewCheckpoint("shardtest", "sum", 7, 5)
-	ck.Autosave(path)
+	ck, err := LoadOrCreateCheckpoint(path, "shardtest", "sum", 7, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := RunSharded(Config{Workers: 1, Seed: 7}, ck, sumSpec(5, 3, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +198,7 @@ func TestCheckpointCompatibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Done() {
+	if !done(loaded) {
 		t.Fatal("loaded checkpoint lost its results")
 	}
 	// The autosave must be atomic: no stale temp file left behind.

@@ -24,10 +24,13 @@ func TestIctfPoolForkMemoizesTemplate(t *testing.T) {
 	forkSeed := sim.NewRand(seed).ForkSeed()
 	key := poolKey{seed: forkSeed, flows: 1234}
 
-	_ = ictfTemplate(forkSeed, 1234)
-	tpl, ok := ictfMemo.Peek(key)
-	if !ok {
+	tpl := ictfTemplate(forkSeed, 1234)
+	cached := ictfMemo.Get(key, func() *trace.PoolTemplate {
 		t.Fatal("first ictfTemplate did not populate the template cache")
+		return nil
+	})
+	if cached != tpl {
+		t.Fatal("the template cache holds another template than ictfTemplate returned")
 	}
 	if again := ictfTemplate(forkSeed, 1234); again != tpl {
 		t.Fatal("second ictfTemplate rebuilt the template instead of reusing it")

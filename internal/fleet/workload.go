@@ -210,7 +210,7 @@ func (m *Manager) burstDevice(md *managedDevice, spec WorkloadSpec, burst, start
 			now = done
 			out.accelOps++
 		}
-		client := pi % md.nic.Cores()
+		client := pi % md.capacity.Cores
 		for b := 0; b < spec.BusOps; b++ {
 			done, err := md.nic.BusOp(client, now)
 			if err != nil {

@@ -37,7 +37,6 @@ type Map struct {
 	n       int     // live entries
 	tombs   int
 	maxLoad float64
-	resizes int
 }
 
 // New creates a map with initial capacity for hint entries (rounded up to
@@ -69,13 +68,6 @@ func (m *Map) release(capacity int) {
 
 // Len returns the number of live entries.
 func (m *Map) Len() int { return m.n }
-
-// Cap returns the current slot capacity.
-func (m *Map) Cap() int { return len(m.keys) }
-
-// Resizes returns how many times the table has grown — each one produced
-// a transient old+new memory spike.
-func (m *Map) Resizes() int { return m.resizes }
 
 // FootprintBytes returns the map's current accounted memory.
 func (m *Map) FootprintBytes() uint64 { return uint64(len(m.keys)) * entrySize }
@@ -123,19 +115,13 @@ func (m *Map) Get(k Key) (uint64, bool) {
 	return m.vals[i], true
 }
 
-// Put inserts or updates k -> v, growing the table if needed.
+// Put inserts or updates k -> v, growing the table only when inserting
+// an absent key would cross the load threshold.
 func (m *Map) Put(k Key, v uint64) {
-	if float64(m.n+m.tombs+1) > m.maxLoad*float64(len(m.keys)) {
-		m.grow()
-	}
 	i, ok := m.slot(k)
 	if !ok {
-		if m.state[i] == 2 {
-			m.tombs--
-		}
-		m.state[i] = 1
-		m.keys[i] = k
-		m.n++
+		m.insert(k, i, v)
+		return
 	}
 	m.vals[i] = v
 }
@@ -143,21 +129,29 @@ func (m *Map) Put(k Key, v uint64) {
 // Add increments the value for k by delta, inserting it at delta if absent.
 // This is the Monitor NF's per-flow packet counter fast path.
 func (m *Map) Add(k Key, delta uint64) {
-	if float64(m.n+m.tombs+1) > m.maxLoad*float64(len(m.keys)) {
-		m.grow()
-	}
 	i, ok := m.slot(k)
 	if !ok {
-		if m.state[i] == 2 {
-			m.tombs--
-		}
-		m.state[i] = 1
-		m.keys[i] = k
-		m.vals[i] = delta
-		m.n++
+		m.insert(k, i, delta)
 		return
 	}
 	m.vals[i] += delta
+}
+
+// insert stores the absent key k -> v at slot i, where its lookup ended.
+// If one more entry would cross the load threshold, the table grows first
+// and k is probed again in the new table.
+func (m *Map) insert(k Key, i int, v uint64) {
+	if float64(m.n+m.tombs+1) > m.maxLoad*float64(len(m.keys)) {
+		m.grow()
+		i, _ = m.slot(k)
+	}
+	if m.state[i] == 2 {
+		m.tombs--
+	}
+	m.state[i] = 1
+	m.keys[i] = k
+	m.vals[i] = v
+	m.n++
 }
 
 // Delete removes k, returning whether it was present.
@@ -185,7 +179,6 @@ func (m *Map) grow() {
 		}
 	}
 	m.release(oldCap)
-	m.resizes++
 }
 
 func (m *Map) reinsert(k Key, v uint64) {
@@ -198,23 +191,4 @@ func (m *Map) reinsert(k Key, v uint64) {
 	m.keys[i] = k
 	m.vals[i] = v
 	m.n++
-}
-
-// Range calls fn for every live entry until fn returns false.
-func (m *Map) Range(fn func(k Key, v uint64) bool) {
-	for i, st := range m.state {
-		if st == 1 {
-			if !fn(m.keys[i], m.vals[i]) {
-				return
-			}
-		}
-	}
-}
-
-// Reset drops all entries but keeps the current capacity.
-func (m *Map) Reset() {
-	for i := range m.state {
-		m.state[i] = 0
-	}
-	m.n, m.tombs = 0, 0
 }

@@ -99,15 +99,44 @@ func TestTombstoneReuse(t *testing.T) {
 
 func TestGrowthDoubles(t *testing.T) {
 	m := New(nil, 8)
-	c0 := m.Cap()
+	c0 := len(m.keys)
 	for i := uint64(0); i < uint64(c0); i++ {
 		m.Put(key(i), i)
 	}
-	if m.Cap() != 2*c0 {
-		t.Fatalf("cap = %d, want %d", m.Cap(), 2*c0)
+	if len(m.keys) != 2*c0 {
+		t.Fatalf("cap = %d, want %d", len(m.keys), 2*c0)
 	}
-	if m.Resizes() == 0 {
-		t.Fatal("no resize recorded")
+}
+
+// TestPresentKeyAtThresholdDoesNotGrow fills a 16-slot map up to the
+// load threshold it reaches after one resize (28 keys in 32 slots), then
+// writes every key again: a write that adds no key must not grow the
+// table. The next absent key is the one that crosses the threshold.
+func TestPresentKeyAtThresholdDoesNotGrow(t *testing.T) {
+	for _, w := range []struct {
+		name  string
+		write func(m *Map, k Key)
+	}{
+		{"Put", func(m *Map, k Key) { m.Put(k, 7) }},
+		{"Add", func(m *Map, k Key) { m.Add(k, 1) }},
+	} {
+		m := New(nil, 16)
+		for i := uint64(0); i < 28; i++ {
+			w.write(m, key(i))
+		}
+		if len(m.keys) != 32 {
+			t.Fatalf("%s: %d slots after 28 keys, want 32 (one resize)", w.name, len(m.keys))
+		}
+		for i := uint64(0); i < 28; i++ {
+			w.write(m, key(i))
+		}
+		if len(m.keys) != 32 || m.Len() != 28 {
+			t.Errorf("%s of present keys: %d slots, %d keys; want 32 and 28", w.name, len(m.keys), m.Len())
+		}
+		w.write(m, key(28))
+		if len(m.keys) != 64 {
+			t.Errorf("%s of the 29th key: %d slots, want 64", w.name, len(m.keys))
+		}
 	}
 }
 
@@ -128,47 +157,9 @@ func TestArenaChargesResizeSpike(t *testing.T) {
 	if peakDuring <= m.FootprintBytes() {
 		t.Fatalf("no resize spike: peak %d, steady %d", peakDuring, m.FootprintBytes())
 	}
-	if a.LiveIn(mem.SegHeap) != m.FootprintBytes() {
+	if a.Live() != m.FootprintBytes() {
 		t.Fatalf("steady-state accounting wrong: arena %d map %d",
-			a.LiveIn(mem.SegHeap), m.FootprintBytes())
-	}
-}
-
-func TestRange(t *testing.T) {
-	m := New(nil, 0)
-	for i := uint64(0); i < 50; i++ {
-		m.Put(key(i), i)
-	}
-	seen := map[uint64]bool{}
-	m.Range(func(k Key, v uint64) bool {
-		seen[v] = true
-		return true
-	})
-	if len(seen) != 50 {
-		t.Fatalf("ranged over %d entries", len(seen))
-	}
-	n := 0
-	m.Range(func(k Key, v uint64) bool {
-		n++
-		return false
-	})
-	if n != 1 {
-		t.Fatalf("early stop visited %d", n)
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := New(nil, 0)
-	for i := uint64(0); i < 100; i++ {
-		m.Put(key(i), i)
-	}
-	c := m.Cap()
-	m.Reset()
-	if m.Len() != 0 || m.Cap() != c {
-		t.Fatalf("after reset: len=%d cap=%d", m.Len(), m.Cap())
-	}
-	if _, ok := m.Get(key(1)); ok {
-		t.Fatal("entry survived reset")
+			a.Live(), m.FootprintBytes())
 	}
 }
 

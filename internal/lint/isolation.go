@@ -23,17 +23,15 @@ var isolationTrusted = map[string]bool{
 
 // physicalPorts are the mem.Physical methods that move or claim bytes:
 // the raw data ports and the ownership operations. Geometry readers
-// (Size, FrameSize, NumFrames, OwnerOf) are not sinks — they leak no
+// (Size, FrameSize, NumFrames) are not sinks — they leak no
 // tenant data — but note that obtaining the *Physical handle at all is
 // already flagged, so untrusted code cannot reach them either.
 var physicalPorts = map[string]bool{
 	"Read":       true,
 	"Write":      true,
-	"ReadU64":    true,
 	"WriteU64":   true,
 	"Alloc":      true,
 	"AllocBytes": true,
-	"Release":    true,
 	"ReleaseAll": true,
 }
 

@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"fmt"
 	"go/types"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -18,14 +20,20 @@ var stdlibCallbacks = map[string]bool{
 	"Len": true, "Less": true, "Swap": true, "MarshalJSON": true,
 }
 
+// reasonForm matches the two reasons an unreached function may be listed
+// with: the ROADMAP item that will wire it in or delete it, or the test
+// of another package that needs it as an oracle. A function that only
+// its own package's tests call is not listed: such a test reads the
+// unexported state itself, or the function moves into a _test.go file.
+var reasonForm = regexp.MustCompile(`^(item [0-9]+: |cross-package oracle: .+ checks ).+`)
+
 // TestEveryFunctionIsReached walks the call graph from the programs the
 // module ships: main of every cmd/, examples/ and bench package, plus
 // the initializers of every package those programs import. A declared
-// function that no walk reaches is dead unless
-// testdata/unreached.txt lists it with a reason (a test oracle, a root
-// benchmark, or the roadmap item that will wire it in). The test fails
-// both on an unlisted unreached function and on a listed one that is
-// now reached or gone, so the list only ever describes the tree.
+// function that no walk reaches is dead unless testdata/unreached.txt
+// lists it with a reason of reasonForm. The test fails both on an
+// unlisted unreached function and on a listed one that is now reached or
+// gone, so the list only ever describes the tree.
 func TestEveryFunctionIsReached(t *testing.T) {
 	root := moduleRoot(t)
 	loader := NewLoader("snic", root)
@@ -40,17 +48,9 @@ func TestEveryFunctionIsReached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listed := make(map[string]bool)
-	for i, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
-		name, reason, ok := strings.Cut(line, "  ")
-		if !ok || strings.TrimSpace(reason) == "" {
-			t.Errorf("%s:%d: want %q, got %q", listPath, i+1, "name  reason", line)
-			continue
-		}
-		if listed[name] {
-			t.Errorf("%s:%d: %s listed twice", listPath, i+1, name)
-		}
-		listed[name] = true
+	listed, bad := parseUnreached(string(data))
+	for _, msg := range bad {
+		t.Errorf("%s:%s", listPath, msg)
 	}
 	for _, name := range got {
 		if !listed[name] {
@@ -65,6 +65,48 @@ func TestEveryFunctionIsReached(t *testing.T) {
 	slices.Sort(stale)
 	for _, name := range stale {
 		t.Errorf("%s lists %s, which is now reached or gone: drop the line", listPath, name)
+	}
+}
+
+// parseUnreached reads the "name  reason" lines of unreached.txt into the
+// set of listed names, and describes each malformed or duplicate line.
+func parseUnreached(data string) (map[string]bool, []string) {
+	listed := make(map[string]bool)
+	var bad []string
+	for i, line := range strings.Split(strings.TrimRight(data, "\n"), "\n") {
+		name, reason, ok := strings.Cut(line, "  ")
+		if !ok || !reasonForm.MatchString(reason) {
+			bad = append(bad, fmt.Sprintf("%d: want %q or %q, got %q", i+1,
+				"name  item N: ...", "name  cross-package oracle: <test> checks <invariant>", line))
+			continue
+		}
+		if listed[name] {
+			bad = append(bad, fmt.Sprintf("%d: %s listed twice", i+1, name))
+		}
+		listed[name] = true
+	}
+	return listed, bad
+}
+
+// TestUnreachedReasonForms pins the two accepted reason forms: a
+// function that only its own package's tests call has no place on the
+// list.
+func TestUnreachedReasonForms(t *testing.T) {
+	for _, c := range []struct {
+		line string
+		ok   bool
+	}{
+		{"internal/x.F  item 7: the upload path", true},
+		{"internal/x.F  cross-package oracle: y's TestZ checks an invariant", true},
+		{"internal/x.F  test oracle: x", false},
+		{"internal/x.F  items 8 and 9: the harnesses", false},
+		{"internal/x.F  cross-package oracle: y's TestZ", false},
+		{"internal/x.F  item 7:", false},
+		{"internal/x.F", false},
+	} {
+		if _, bad := parseUnreached(c.line + "\n"); (len(bad) == 0) != c.ok {
+			t.Errorf("%q: accepted %v, want %v (%v)", c.line, len(bad) == 0, c.ok, bad)
+		}
 	}
 }
 

@@ -20,5 +20,5 @@ func (p *Physical) Read(pa Addr, buf []byte) error { return nil }
 // Write is a raw data port — a sink outside the trusted layer.
 func (p *Physical) Write(pa Addr, data []byte) error { return nil }
 
-// Release is an ownership operation — a sink outside the trusted layer.
-func (p *Physical) Release(owner int) {}
+// ReleaseAll is an ownership operation — a sink outside the trusted layer.
+func (p *Physical) ReleaseAll(owner int) uint64 { return 0 }

@@ -75,18 +75,10 @@ func New(backends []string, m int) (*Table, error) {
 	return &Table{backends: names, entries: entries}, nil
 }
 
-// Lookup returns the backend for a flow hash.
-func (t *Table) Lookup(flowHash uint64) string {
-	return t.backends[t.entries[flowHash%uint64(len(t.entries))]]
-}
-
 // LookupIndex returns the backend index for a flow hash.
 func (t *Table) LookupIndex(flowHash uint64) int {
 	return int(t.entries[flowHash%uint64(len(t.entries))])
 }
-
-// Size returns the lookup table size (number of slots).
-func (t *Table) Size() int { return len(t.entries) }
 
 // Backends returns the (sorted, deduplicated) backend names.
 func (t *Table) Backends() []string { return append([]string(nil), t.backends...) }
@@ -99,21 +91,6 @@ func (t *Table) MemoryBytes() uint64 {
 		n += uint64(len(b)) + 16
 	}
 	return n
-}
-
-// Disruption counts the fraction of slots that map to different backends
-// between two tables (used to verify the consistent-hashing property).
-func Disruption(a, b *Table) float64 {
-	if a.Size() != b.Size() {
-		return 1
-	}
-	moved := 0
-	for i := range a.entries {
-		if a.backends[a.entries[i]] != b.backends[b.entries[i]] {
-			moved++
-		}
-	}
-	return float64(moved) / float64(a.Size())
 }
 
 func hashString(s string, seed uint64) uint64 {

@@ -8,6 +8,21 @@ import (
 	"snic/internal/sim"
 )
 
+// disruption counts the fraction of slots that map to different backends
+// between two tables: the consistent-hashing property the tests verify.
+func disruption(a, b *Table) float64 {
+	if len(a.entries) != len(b.entries) {
+		return 1
+	}
+	moved := 0
+	for i := range a.entries {
+		if a.backends[a.entries[i]] != b.backends[b.entries[i]] {
+			moved++
+		}
+	}
+	return float64(moved) / float64(len(a.entries))
+}
+
 func backends(n int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -36,7 +51,7 @@ func TestAllSlotsFilled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < tbl.Size(); i++ {
+	for i := range tbl.entries {
 		if tbl.LookupIndex(uint64(i)) < 0 {
 			t.Fatalf("slot %d unfilled", i)
 		}
@@ -50,14 +65,14 @@ func TestBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int{}
-	for i := 0; i < tbl.Size(); i++ {
-		counts[tbl.Lookup(uint64(i))]++
+	counts := map[int]int{}
+	for i := range tbl.entries {
+		counts[tbl.LookupIndex(uint64(i))]++
 	}
-	want := float64(tbl.Size()) / float64(n)
+	want := float64(len(tbl.entries)) / float64(n)
 	for b, c := range counts {
 		if math.Abs(float64(c)-want)/want > 0.02 {
-			t.Fatalf("imbalance: %s has %d slots, want ~%.0f", b, c, want)
+			t.Fatalf("imbalance: backend %d has %d slots, want ~%.0f", b, c, want)
 		}
 	}
 }
@@ -65,7 +80,7 @@ func TestBalance(t *testing.T) {
 func TestDeterministicAndOrderIndependent(t *testing.T) {
 	a, _ := New([]string{"x", "y", "z"}, 65537)
 	b, _ := New([]string{"z", "x", "y"}, 65537)
-	if Disruption(a, b) != 0 {
+	if disruption(a, b) != 0 {
 		t.Fatal("table depends on backend order")
 	}
 }
@@ -83,7 +98,7 @@ func TestConsistency(t *testing.T) {
 	n := 10
 	before, _ := New(backends(n), 65537)
 	after, _ := New(backends(n)[:n-1], 65537)
-	d := Disruption(before, after)
+	d := disruption(before, after)
 	if d > 0.25 {
 		t.Fatalf("removal disrupted %.2f of slots", d)
 	}
@@ -97,7 +112,7 @@ func TestLookupStability(t *testing.T) {
 	rng := sim.NewRand(5)
 	for i := 0; i < 1000; i++ {
 		h := rng.Uint64()
-		if tbl.Lookup(h) != tbl.Lookup(h) {
+		if tbl.LookupIndex(h) != tbl.LookupIndex(h) {
 			t.Fatal("lookup not deterministic")
 		}
 	}
@@ -113,7 +128,7 @@ func TestMemoryBytes(t *testing.T) {
 func TestDisruptionSizeMismatch(t *testing.T) {
 	a, _ := New(backends(2), 101)
 	b, _ := New(backends(2), 65537)
-	if Disruption(a, b) != 1 {
+	if disruption(a, b) != 1 {
 		t.Fatal("size mismatch should report full disruption")
 	}
 }
@@ -121,6 +136,6 @@ func TestDisruptionSizeMismatch(t *testing.T) {
 func BenchmarkLookup(b *testing.B) {
 	tbl, _ := New(backends(16), 65537)
 	for i := 0; i < b.N; i++ {
-		tbl.Lookup(uint64(i) * 0x9E3779B97F4A7C15)
+		tbl.LookupIndex(uint64(i) * 0x9E3779B97F4A7C15)
 	}
 }

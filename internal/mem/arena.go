@@ -81,30 +81,15 @@ func (a *Arena) Live() uint64 {
 	return n
 }
 
-// LiveIn returns the currently allocated bytes in segment s.
-func (a *Arena) LiveIn(s Segment) uint64 { return a.segs[s].live }
-
-// PeakIn returns the peak allocation of segment s.
-func (a *Arena) PeakIn(s Segment) uint64 { return a.segs[s].peak }
-
-// Peak returns the sum of per-segment peaks. The paper sizes TLB coverage
-// from maximum per-segment usage ("we profiled the maximum memory usage"),
-// so segment peaks — not the global concurrent peak — are what Table 6
-// reports.
-func (a *Arena) Peak() uint64 {
-	var n uint64
-	for i := range a.segs {
-		n += a.segs[i].peak
-	}
-	return n
-}
-
 // Profile is a point-in-time snapshot of segment peaks, in bytes.
 type Profile struct {
 	Text, Data, Code, Heap uint64
 }
 
-// Profile captures the per-segment peak usage.
+// Profile captures the per-segment peak usage. The paper sizes TLB
+// coverage from maximum per-segment usage ("we profiled the maximum
+// memory usage"), so segment peaks, not the global concurrent peak, are
+// what Table 6 reports.
 func (a *Arena) Profile() Profile {
 	return Profile{
 		Text: a.segs[SegText].peak,
@@ -116,6 +101,3 @@ func (a *Arena) Profile() Profile {
 
 // Total returns the summed peak bytes of the profile.
 func (p Profile) Total() uint64 { return p.Text + p.Data + p.Code + p.Heap }
-
-// MB converts bytes to mebibytes as a float, for table printing.
-func MB(b uint64) float64 { return float64(b) / (1 << 20) }

@@ -74,31 +74,11 @@ func (p *Physical) Size() uint64 { return p.nframes * p.frameSize }
 // NumFrames returns the number of frames.
 func (p *Physical) NumFrames() uint64 { return p.nframes }
 
-// OwnerOf returns the owner of the frame containing pa.
-func (p *Physical) OwnerOf(pa Addr) Owner {
-	f := uint64(pa) / p.frameSize
-	if f >= p.nframes {
-		return Free
-	}
-	return p.owner[f]
-}
-
-// FrameOwner returns the owner of frame index f.
-func (p *Physical) FrameOwner(f uint64) Owner {
-	if f >= p.nframes {
-		return Free
-	}
-	return p.owner[f]
-}
-
 // Range is a contiguous run of physical frames.
 type Range struct {
 	Start  Addr   // first byte
 	Frames uint64 // length in frames
 }
-
-// End returns one past the last byte of the range.
-func (r Range) End(fs uint64) Addr { return r.Start + Addr(r.Frames*fs) }
 
 // Alloc finds nframes contiguous free frames, assigns them to owner, and
 // returns the range. It fails if no contiguous run exists.
@@ -148,29 +128,10 @@ func (p *Physical) AllocBytes(owner Owner, n uint64) (Range, error) {
 	return p.Alloc(owner, frames)
 }
 
-// Release frees the frames of r (which must all be owned by owner),
-// scrubbing their contents first so nothing leaks to the next owner.
-// This is the memory half of nf_teardown.
-func (p *Physical) Release(owner Owner, r Range) error {
-	first := uint64(r.Start) / p.frameSize
-	for f := first; f < first+r.Frames; f++ {
-		if f >= p.nframes || p.owner[f] != owner {
-			return fmt.Errorf("mem: release of frame %d not owned by %d", f, owner)
-		}
-	}
-	for f := first; f < first+r.Frames; f++ {
-		delete(p.frames, f) // scrub: lazily-backed frames read back as zero
-		p.owner[f] = Free
-	}
-	if first < p.freeHint {
-		p.freeHint = first
-	}
-	return nil
-}
-
-// ReleaseAll scrubs and frees every frame owned by owner, returning the
-// number of bytes scrubbed (the quantity that dominates nf_destroy latency
-// in Figure 6).
+// ReleaseAll scrubs and frees every frame owned by owner, so nothing
+// leaks to the next owner (the memory half of nf_teardown). It returns
+// the number of bytes scrubbed, the quantity that dominates nf_destroy
+// latency in Figure 6.
 func (p *Physical) ReleaseAll(owner Owner) uint64 {
 	var n uint64
 	for f := uint64(0); f < p.nframes; f++ {
@@ -181,17 +142,6 @@ func (p *Physical) ReleaseAll(owner Owner) uint64 {
 			if f < p.freeHint {
 				p.freeHint = f
 			}
-		}
-	}
-	return n
-}
-
-// OwnedBytes returns the number of bytes currently owned by owner.
-func (p *Physical) OwnedBytes(owner Owner) uint64 {
-	var n uint64
-	for _, o := range p.owner {
-		if o == owner {
-			n += p.frameSize
 		}
 	}
 	return n
@@ -289,17 +239,4 @@ func (p *Physical) WriteU64(pa Addr, v uint64) error {
 		b[i] = byte(v >> (8 * i))
 	}
 	return p.Write(pa, b[:])
-}
-
-// ReadU64 loads a little-endian uint64 from pa.
-func (p *Physical) ReadU64(pa Addr) (uint64, error) {
-	var b [8]byte
-	if err := p.Read(pa, b[:]); err != nil {
-		return 0, err
-	}
-	var v uint64
-	for i := range b {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, nil
 }

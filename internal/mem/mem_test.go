@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -13,6 +14,17 @@ func newPhys(t *testing.T, total, frame uint64) *Physical {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// ownedBytes counts the bytes of the frames owner holds.
+func ownedBytes(p *Physical, owner Owner) uint64 {
+	var n uint64
+	for _, o := range p.owner {
+		if o == owner {
+			n += p.frameSize
+		}
+	}
+	return n
 }
 
 func TestNewPhysicalGeometry(t *testing.T) {
@@ -37,13 +49,13 @@ func TestAllocAssignsOwnership(t *testing.T) {
 	if r.Frames != 4 {
 		t.Fatalf("got %d frames", r.Frames)
 	}
-	for off := uint64(0); off < 4*64; off += 64 {
-		if p.OwnerOf(r.Start+Addr(off)) != FirstNF {
-			t.Fatalf("frame at +%d not owned", off)
+	for f := uint64(r.Start) / 64; f < uint64(r.Start)/64+4; f++ {
+		if p.owner[f] != FirstNF {
+			t.Fatalf("frame %d not owned", f)
 		}
 	}
-	if p.OwnedBytes(FirstNF) != 256 {
-		t.Fatalf("OwnedBytes = %d", p.OwnedBytes(FirstNF))
+	if n := ownedBytes(p, FirstNF); n != 256 {
+		t.Fatalf("owned bytes = %d", n)
 	}
 }
 
@@ -71,9 +83,7 @@ func TestAllocFindsFragmentedHole(t *testing.T) {
 	c, _ := p.Alloc(FirstNF+2, 2)
 	_ = a
 	_ = c
-	if err := p.Release(FirstNF+1, b); err != nil {
-		t.Fatal(err)
-	}
+	p.ReleaseAll(FirstNF + 1)
 	// The hole left by b is 2 frames; a 2-frame allocation must find it.
 	r, err := p.Alloc(FirstNF+3, 2)
 	if err != nil {
@@ -86,13 +96,13 @@ func TestAllocFindsFragmentedHole(t *testing.T) {
 
 func TestReleaseWrongOwnerRejected(t *testing.T) {
 	p := newPhys(t, 256, 64)
-	r, _ := p.Alloc(FirstNF, 2)
-	if err := p.Release(FirstNF+1, r); err == nil {
-		t.Fatal("released frames owned by someone else")
+	p.Alloc(FirstNF, 2)
+	if n := p.ReleaseAll(FirstNF + 1); n != 0 {
+		t.Fatalf("released %d bytes owned by someone else", n)
 	}
-	// Ownership must be untouched after the failed release.
-	if p.OwnedBytes(FirstNF) != 128 {
-		t.Fatal("failed release modified ownership")
+	// Ownership must be untouched after the release of another owner.
+	if ownedBytes(p, FirstNF) != 128 {
+		t.Fatal("release of another owner modified ownership")
 	}
 }
 
@@ -103,9 +113,7 @@ func TestReleaseScrubs(t *testing.T) {
 	if err := p.Write(r.Start, secret); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Release(FirstNF, r); err != nil {
-		t.Fatal(err)
-	}
+	p.ReleaseAll(FirstNF)
 	got := make([]byte, len(secret))
 	if err := p.Read(r.Start, got); err != nil {
 		t.Fatal(err)
@@ -125,7 +133,7 @@ func TestReleaseAllScrubsEverything(t *testing.T) {
 	if n != 5*64 {
 		t.Fatalf("scrubbed %d bytes, want %d", n, 5*64)
 	}
-	if p.OwnedBytes(FirstNF) != 0 {
+	if ownedBytes(p, FirstNF) != 0 {
 		t.Fatal("frames still owned after ReleaseAll")
 	}
 	var b [1]byte
@@ -182,11 +190,11 @@ func TestU64RoundTrip(t *testing.T) {
 	if err := p.WriteU64(60, 0xDEADBEEFCAFEF00D); err != nil {
 		t.Fatal(err)
 	}
-	v, err := p.ReadU64(60)
-	if err != nil {
+	var b [8]byte
+	if err := p.Read(60, b[:]); err != nil {
 		t.Fatal(err)
 	}
-	if v != 0xDEADBEEFCAFEF00D {
+	if v := binary.LittleEndian.Uint64(b[:]); v != 0xDEADBEEFCAFEF00D {
 		t.Fatalf("got %#x", v)
 	}
 }
@@ -239,19 +247,15 @@ func TestSingleOwnerInvariant(t *testing.T) {
 			alloced[o] = append(alloced[o], r)
 		}
 		if i%7 == 6 {
-			if rs := alloced[o]; len(rs) > 0 {
-				if err := p.Release(o, rs[0]); err != nil {
-					t.Fatal(err)
-				}
-				alloced[o] = rs[1:]
-			}
+			p.ReleaseAll(o)
+			alloced[o] = nil
 		}
 		// Invariant: every frame of every live range still owned by its owner.
 		for o2, rs := range alloced {
 			for _, r := range rs {
 				first := uint64(r.Start) / p.FrameSize()
 				for f := first; f < first+r.Frames; f++ {
-					if p.FrameOwner(f) != o2 {
+					if p.owner[f] != o2 {
 						t.Fatalf("frame %d stolen from %d", f, o2)
 					}
 				}
@@ -268,11 +272,11 @@ func TestArenaAccounting(t *testing.T) {
 		t.Fatalf("live = %d", a.Live())
 	}
 	a.Free(SegHeap, 40)
-	if a.Live() != 70 || a.LiveIn(SegHeap) != 60 {
-		t.Fatalf("live = %d heap = %d", a.Live(), a.LiveIn(SegHeap))
+	if a.Live() != 70 || a.segs[SegHeap].live != 60 {
+		t.Fatalf("live = %d heap = %d", a.Live(), a.segs[SegHeap].live)
 	}
-	if a.PeakIn(SegHeap) != 100 || a.Peak() != 110 {
-		t.Fatalf("peaks: heap=%d total=%d", a.PeakIn(SegHeap), a.Peak())
+	if pr := a.Profile(); pr.Heap != 100 || pr.Total() != 110 {
+		t.Fatalf("peaks: heap=%d total=%d", pr.Heap, pr.Total())
 	}
 }
 

@@ -23,10 +23,6 @@ func (p *Physical) SetPoolCapacity(frames uint64) {
 	}
 }
 
-// PoolFrames returns the number of frames currently parked in the warm
-// arena.
-func (p *Physical) PoolFrames() uint64 { return p.poolFrames }
-
 // ReleaseAllPooled scrubs every frame owned by owner exactly like
 // ReleaseAll — backing deleted, so the frames read back as zero — but
 // parks up to the arena's remaining capacity under the Pooled owner

@@ -21,8 +21,8 @@ import (
 )
 
 // entry pairs a value slot with the once that fills it; done flips only
-// after the build completes, so lock-free readers (Peek) can tell a
-// built value from an in-flight or never-requested one.
+// after the build completes, so a lock-free reader (the tests' Peek) can
+// tell a built value from an in-flight or never-requested one.
 type entry[V any] struct {
 	once sync.Once
 	done atomic.Bool
@@ -49,24 +49,6 @@ func (c *Cache[K, V]) Get(key K, build func() V) V {
 		en.done.Store(true)
 	})
 	return en.v
-}
-
-// Peek returns the built value for key without building anything. The
-// second result is false if the key has never been requested or its
-// build has not completed yet. Tests use it to assert reuse — that a
-// code path hit the cache rather than rebuilding — without perturbing
-// the cache the way a Get with a counting build func would.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	var zero V
-	e, ok := c.m.Load(key)
-	if !ok {
-		return zero, false
-	}
-	en := e.(*entry[V])
-	if !en.done.Load() {
-		return zero, false
-	}
-	return en.v, true
 }
 
 // Len reports how many keys have an entry (built or building), for tests

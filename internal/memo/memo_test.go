@@ -6,6 +6,22 @@ import (
 	"testing"
 )
 
+// Peek returns the built value for key without building anything. The
+// second result is false if the key has never been requested or its
+// build has not completed yet.
+func (c *Cache[K, V]) Peek(key K) (V, bool) {
+	var zero V
+	e, ok := c.m.Load(key)
+	if !ok {
+		return zero, false
+	}
+	en := e.(*entry[V])
+	if !en.done.Load() {
+		return zero, false
+	}
+	return en.v, true
+}
+
 func TestGetBuildsOncePerKey(t *testing.T) {
 	var c Cache[int, int]
 	var builds atomic.Int64

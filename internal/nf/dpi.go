@@ -47,19 +47,12 @@ func NewDPI(patterns [][]byte, blocking bool) (*DPI, error) {
 	return &DPI{arena: a, auto: auto, blocking: blocking, keepLast: 1024}, nil
 }
 
-// Name implements NF.
-func (d *DPI) Name() string { return "DPI" }
-
 // Arena implements NF.
 func (d *DPI) Arena() *mem.Arena { return d.arena }
 
 // FixedFootprint implements NF: the automaton is sized at compile time,
 // and alerts go to an ordinary Go slice, never the arena.
 func (d *DPI) FixedFootprint() bool { return true }
-
-// Automaton exposes the compiled graph (the accelerator model and the
-// ruleset-stealing attack demo both need its size/content).
-func (d *DPI) Automaton() *ac.Automaton { return d.auto }
 
 // Process implements NF.
 func (d *DPI) Process(p *pkt.Packet) Verdict {

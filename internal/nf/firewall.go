@@ -46,9 +46,6 @@ func NewFirewall(rules []trace.FirewallRule) *Firewall {
 	}
 }
 
-// Name implements NF.
-func (f *Firewall) Name() string { return "FW" }
-
 // Arena implements NF.
 func (f *Firewall) Arena() *mem.Arena { return f.arena }
 

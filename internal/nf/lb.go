@@ -39,9 +39,6 @@ func NewLB(backendNames []string) (*LB, error) {
 	return &LB{arena: a, table: t, conns: hashmap.New(a, 1024), backends: ips}, nil
 }
 
-// Name implements NF.
-func (l *LB) Name() string { return "LB" }
-
 // Arena implements NF.
 func (l *LB) Arena() *mem.Arena { return l.arena }
 

@@ -35,9 +35,6 @@ func NewLPM(routes []trace.Route) (*LPM, error) {
 	return &LPM{arena: a, table: t}, nil
 }
 
-// Name implements NF.
-func (l *LPM) Name() string { return "LPM" }
-
 // Arena implements NF.
 func (l *LPM) Arena() *mem.Arena { return l.arena }
 

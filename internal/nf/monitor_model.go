@@ -12,9 +12,10 @@ import "snic/internal/hashmap"
 // the real NF sample-for-sample at small n.
 //
 // The one behavioural input per packet is whether the flow is new. The
-// growth check mirrors hashmap.Add exactly: it runs before the lookup,
-// so even a duplicate flow's packet can trigger a resize at the load
-// threshold. The Monitor never deletes, so tombstones stay zero.
+// growth check mirrors hashmap.Add exactly: only a new flow's insert can
+// cross the load threshold and resize the table; a duplicate flow's
+// packet updates its counter in place. The Monitor never deletes, so
+// tombstones stay zero.
 type MonitorModel struct {
 	heapLive uint64
 	heapPeak uint64
@@ -54,6 +55,9 @@ func (m *MonitorModel) heapFree(n uint64) { m.heapLive -= n }
 // Observe accounts one Monitor.Process call. newFlow says whether the
 // packet's tuple has been seen by this monitor before.
 func (m *MonitorModel) Observe(newFlow bool) {
+	if !newFlow {
+		return
+	}
 	if float64(m.flows+1) > hashmap.MaxLoad*float64(m.capSlots) {
 		// grow(): the doubled table is allocated while the old one is
 		// still live, then the old one is released.
@@ -62,21 +66,16 @@ func (m *MonitorModel) Observe(newFlow bool) {
 		m.capSlots *= 2
 		m.resizes++
 	}
-	if newFlow {
-		m.flows++
-	}
+	m.flows++
 }
 
 // Live returns what Arena.Live would report: image plus current heap.
 func (m *MonitorModel) Live() uint64 { return imageBytes + m.heapLive }
 
-// Peak returns what Arena.Peak would report: the image segments never
-// shrink, and all churn is in the heap segment, so the sum of
-// per-segment peaks is image plus the heap peak.
+// Peak returns what Arena.Profile().Total() would report: the image
+// segments never shrink, and all churn is in the heap segment, so the
+// sum of per-segment peaks is image plus the heap peak.
 func (m *MonitorModel) Peak() uint64 { return imageBytes + m.heapPeak }
-
-// Flows returns the distinct flows observed.
-func (m *MonitorModel) Flows() uint64 { return m.flows }
 
 // Resizes returns how many table growths have occurred.
 func (m *MonitorModel) Resizes() uint64 { return m.resizes }

@@ -3,6 +3,7 @@ package nf
 import (
 	"testing"
 
+	"snic/internal/hashmap"
 	"snic/internal/pkt"
 	"snic/internal/sim"
 	"snic/internal/trace"
@@ -11,21 +12,21 @@ import (
 // TestMonitorModelMatchesMonitor pins the analytical model to the real
 // NF: driving both with the same mixed new/duplicate flow sequence, the
 // model's live and peak bytes must equal the arena's after every single
-// packet — including across several resizes and the duplicate-triggered
-// grow at the load threshold.
+// packet — including across several resizes and duplicate packets that
+// arrive while the table sits at its load threshold, which must not
+// grow it.
 func TestMonitorModelMatchesMonitor(t *testing.T) {
 	mon := NewMonitor(nil)
 	model := NewMonitorModel()
 	if got, want := model.Live(), mon.Arena().Live(); got != want {
 		t.Fatalf("initial live: model %d, arena %d", got, want)
 	}
-	if got, want := model.Peak(), mon.Arena().Peak(); got != want {
+	if got, want := model.Peak(), mon.Arena().Profile().Total(); got != want {
 		t.Fatalf("initial peak: model %d, arena %d", got, want)
 	}
 
 	rng := sim.NewRand(11)
-	c := trace.NewCAIDA(rng.Fork(), 1)
-	c.AdvanceFlows(9000, 1)
+	c := trace.NewCAIDABudget(rng.Fork(), 9000, 1)
 	seen := make(map[pkt.FiveTuple]bool)
 	var tuples []pkt.FiveTuple
 	for {
@@ -36,8 +37,8 @@ func TestMonitorModelMatchesMonitor(t *testing.T) {
 		tuples = append(tuples, p.Tuple)
 	}
 	// Interleave duplicates so the model's newFlow=false path (and the
-	// grow-before-lookup edge) gets exercised: every third packet repeats
-	// an earlier tuple.
+	// duplicate at the load threshold) gets exercised: every third packet
+	// repeats an earlier tuple.
 	for i, ft := range tuples {
 		if i%3 == 2 {
 			ft = tuples[rng.Intn(i)]
@@ -49,15 +50,15 @@ func TestMonitorModelMatchesMonitor(t *testing.T) {
 		if model.Live() != mon.Arena().Live() {
 			t.Fatalf("packet %d: live model %d, arena %d", i, model.Live(), mon.Arena().Live())
 		}
-		if model.Peak() != mon.Arena().Peak() {
-			t.Fatalf("packet %d: peak model %d, arena %d", i, model.Peak(), mon.Arena().Peak())
+		if peak := mon.Arena().Profile().Total(); model.Peak() != peak {
+			t.Fatalf("packet %d: peak model %d, arena %d", i, model.Peak(), peak)
 		}
 	}
-	if int(model.Flows()) != mon.Flows() {
-		t.Fatalf("flows: model %d, monitor %d", model.Flows(), mon.Flows())
+	if int(model.flows) != mon.counts.Len() {
+		t.Fatalf("flows: model %d, monitor %d", model.flows, mon.counts.Len())
 	}
-	if int(model.Resizes()) != mon.counts.Resizes() {
-		t.Fatalf("resizes: model %d, map %d", model.Resizes(), mon.counts.Resizes())
+	if slots := mon.counts.FootprintBytes() / hashmap.EntrySize; model.capSlots != slots {
+		t.Fatalf("table slots: model %d, map %d", model.capSlots, slots)
 	}
 	if model.Resizes() == 0 {
 		t.Fatal("test never resized; grow paths unexercised")
@@ -69,7 +70,7 @@ func TestMonitorModelMatchesMonitor(t *testing.T) {
 	restored.Observe(true)
 	model.Observe(true)
 	if restored.Live() != model.Live() || restored.Peak() != model.Peak() ||
-		restored.Flows() != model.Flows() || restored.Resizes() != model.Resizes() {
+		restored.flows != model.flows || restored.Resizes() != model.Resizes() {
 		t.Fatal("restored model diverges from original")
 	}
 }

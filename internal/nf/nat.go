@@ -44,17 +44,11 @@ func NewNAT(externalIP uint32) *NAT {
 	}
 }
 
-// Name implements NF.
-func (n *NAT) Name() string { return "NAT" }
-
 // Arena implements NF.
 func (n *NAT) Arena() *mem.Arena { return n.arena }
 
 // FixedFootprint implements NF: each new flow adds a translation.
 func (n *NAT) FixedFootprint() bool { return false }
-
-// Flows returns the number of active translations.
-func (n *NAT) Flows() int { return n.out.Len() }
 
 // Process implements NF: outbound packets (anything not addressed to the
 // external IP) get source-rewritten; packets addressed to the external IP
@@ -89,11 +83,8 @@ func (n *NAT) Process(p *pkt.Packet) Verdict {
 		rk[1] = byte(port)
 		rk[2] = 0xB0
 		n.back.Put(rk, uint64(p.Tuple.SrcIP)<<16|uint64(p.Tuple.SrcPort))
+		n.out.Put(key, port)
 	}
-	// Put on every packet, known flows too: Put checks the load factor
-	// before it looks the key up, so a hit can grow the table, and the
-	// arena's peak (Table 6) depends on when it grows.
-	n.out.Put(key, port)
 	p.Tuple.SrcIP = n.external
 	p.Tuple.SrcPort = uint16(port)
 	n.Translated++

@@ -49,8 +49,6 @@ func (v Verdict) String() string {
 
 // NF is a deployable network function.
 type NF interface {
-	// Name is the short name used in the paper's tables (FW, DPI, ...).
-	Name() string
 	// Process runs the data plane on one packet, possibly mutating it.
 	Process(p *pkt.Packet) Verdict
 	// Arena exposes the NF's memory accounting.

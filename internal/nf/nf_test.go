@@ -3,14 +3,18 @@ package nf
 import (
 	"testing"
 
+	"snic/internal/hashmap"
 	"snic/internal/mem"
 	"snic/internal/pkt"
 	"snic/internal/sim"
 	"snic/internal/trace"
 )
 
+// testFlows is the size of testPool's flow set.
+const testFlows = 500
+
 func testPool(seed uint64) *trace.Pool {
-	return trace.NewICTF(sim.NewRand(seed), 500)
+	return trace.NewICTF(sim.NewRand(seed), testFlows)
 }
 
 func mkPacket(t pkt.FiveTuple, payload string) pkt.Packet {
@@ -30,10 +34,7 @@ func TestSuiteBuildsAllSix(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", name)
 		}
-		if f.Name() != name {
-			t.Fatalf("name mismatch: %s vs %s", f.Name(), name)
-		}
-		if f.Arena().Peak() == 0 {
+		if f.Arena().Profile().Total() == 0 {
 			t.Fatalf("%s has no memory profile", name)
 		}
 	}
@@ -61,7 +62,7 @@ func TestPaperProfilesMatchPublishedTotals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := mem.MB(p.Total())
+		got := float64(p.Total()) / (1 << 20)
 		if got < want-0.02 || got > want+0.02 {
 			t.Errorf("%s total = %.2f MB, want %.2f", name, got, want)
 		}
@@ -183,8 +184,8 @@ func TestNATStableMapping(t *testing.T) {
 	if p1.Tuple.SrcPort != p2.Tuple.SrcPort {
 		t.Fatal("same flow mapped to different ports")
 	}
-	if n.Flows() != 1 {
-		t.Fatalf("flows = %d", n.Flows())
+	if n.out.Len() != 1 {
+		t.Fatalf("flows = %d", n.out.Len())
 	}
 }
 
@@ -215,7 +216,7 @@ func TestLBStickyAndBalanced(t *testing.T) {
 	}
 	pool := testPool(3)
 	chosen := map[uint32]int{}
-	for i := 0; i < pool.NumFlows(); i++ {
+	for i := 0; i < testFlows; i++ {
 		p := mkPacket(pool.Flow(i), "x")
 		if l.Process(&p) != Modified {
 			t.Fatal("LB did not rewrite")
@@ -263,8 +264,10 @@ func TestMonitorCounts(t *testing.T) {
 	}
 	p := mkPacket(b, "y")
 	m.Process(&p)
-	if m.Count(a) != 5 || m.Count(b) != 1 || m.Flows() != 2 {
-		t.Fatalf("counts: %d %d flows %d", m.Count(a), m.Count(b), m.Flows())
+	ca, _ := m.counts.Get(hashmap.Key(a.Key()))
+	cb, _ := m.counts.Get(hashmap.Key(b.Key()))
+	if ca != 5 || cb != 1 || m.counts.Len() != 2 {
+		t.Fatalf("counts: %d %d flows %d", ca, cb, m.counts.Len())
 	}
 }
 
@@ -364,35 +367,5 @@ func TestFirewallEvictsOldestAtCapacity(t *testing.T) {
 	fw.Process(&oldest)
 	if fw.Hits != h {
 		t.Fatal("evicted flow still cached")
-	}
-}
-
-func TestMonitorTopK(t *testing.T) {
-	m := NewMonitor(nil)
-	heavy := pkt.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}
-	mid := pkt.FiveTuple{SrcIP: 5, DstIP: 6, SrcPort: 7, DstPort: 8, Proto: 6}
-	light := pkt.FiveTuple{SrcIP: 9, DstIP: 10, SrcPort: 11, DstPort: 12, Proto: 6}
-	for i := 0; i < 10; i++ {
-		p := mkPacket(heavy, "x")
-		m.Process(&p)
-	}
-	for i := 0; i < 5; i++ {
-		p := mkPacket(mid, "x")
-		m.Process(&p)
-	}
-	p := mkPacket(light, "x")
-	m.Process(&p)
-	top := m.TopK(2)
-	if len(top) != 2 || top[0].Count != 10 || top[1].Count != 5 {
-		t.Fatalf("top2 = %+v", top)
-	}
-	if top[0].Key != heavy.Key() {
-		t.Fatal("wrong heavy hitter")
-	}
-	if m.TopK(0) != nil {
-		t.Fatal("TopK(0) should be nil")
-	}
-	if len(m.TopK(100)) != 3 {
-		t.Fatal("TopK over-count")
 	}
 }

@@ -99,7 +99,7 @@ func TestDPIStreamsShareRowCDF(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := f.(*DPI)
-	region := d.Automaton().MemoryBytes()
+	region := d.auto.MemoryBytes()
 	rows := int(region / 64)
 	if rows > 1<<16 {
 		rows = 1 << 16

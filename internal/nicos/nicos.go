@@ -49,14 +49,3 @@ func (o *OS) NFDestroy(id snic.ID) (snic.TeardownReport, error) {
 	delete(o.launched, id)
 	return rep, nil
 }
-
-// NameOf returns the OS's recorded name for an NF.
-func (o *OS) NameOf(id snic.ID) string { return o.launched[id] }
-
-// Running lists the NFs this OS believes are live.
-func (o *OS) Running() int { return len(o.launched) }
-
-// Device exposes the device for management-path operations. A *malicious*
-// NIC OS (the threat the paper defends against) uses this to try to map
-// and read tenant memory; the hardware refuses.
-func (o *OS) Device() *snic.Device { return o.dev }

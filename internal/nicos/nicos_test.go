@@ -30,15 +30,15 @@ func TestCreateDestroyLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TotalMS() <= 0 || o.Running() != 1 || o.NameOf(id) != "firewall" {
-		t.Fatalf("rep=%+v running=%d name=%q", rep, o.Running(), o.NameOf(id))
+	if rep.TotalMS() <= 0 || len(o.launched) != 1 || o.launched[id] != "firewall" {
+		t.Fatalf("rep=%+v running=%d name=%q", rep, len(o.launched), o.launched[id])
 	}
 	tr, err := o.NFDestroy(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.TotalMS() <= 0 || o.Running() != 0 {
-		t.Fatalf("tr=%+v running=%d", tr, o.Running())
+	if tr.TotalMS() <= 0 || len(o.launched) != 0 {
+		t.Fatalf("tr=%+v running=%d", tr, len(o.launched))
 	}
 }
 
@@ -47,7 +47,7 @@ func TestCreateFailurePropagates(t *testing.T) {
 	if _, _, err := o.NFCreate("bad", spec(0)); err == nil {
 		t.Fatal("empty mask accepted")
 	}
-	if o.Running() != 0 {
+	if len(o.launched) != 0 {
 		t.Fatal("failed create recorded")
 	}
 }
@@ -69,12 +69,13 @@ func TestMultiTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a == b || o.Running() != 2 {
+	if a == b || len(o.launched) != 2 {
 		t.Fatal("tenants collide")
 	}
-	// The OS cannot map tenant memory even though it created the NFs.
-	vn := o.Device().NF(a)
-	if err := o.Device().MgmtMap(0, vn.Mem.Start, 128<<10); err == nil {
+	// The OS cannot map tenant memory through its device even though it
+	// created the NFs.
+	vn := o.dev.NF(a)
+	if err := o.dev.MgmtMap(0, vn.Mem.Start, 128<<10); err == nil {
 		t.Fatal("NIC OS mapped tenant memory")
 	}
 }

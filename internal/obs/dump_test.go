@@ -2,9 +2,12 @@ package obs
 
 import (
 	"flag"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -72,6 +75,36 @@ func TestParseDumpErrors(t *testing.T) {
 	if m, err := ParseDump(strings.NewReader(ok)); err != nil || len(m) != 1 {
 		t.Fatalf("ParseDump with comments = %v, %v", m, err)
 	}
+}
+
+// FuzzParseDump feeds arbitrary text to ParseDump, the snicstat input
+// boundary; its seed corpus is testdata/fuzz/FuzzParseDump. The parser
+// must never panic, and any map it accepts must parse back unchanged
+// from its own rendering: the header plus sorted "key value" lines.
+func FuzzParseDump(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		m, err := ParseDump(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		b.WriteString(dumpHeader + "\n")
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&b, "%s %d\n", k, m[k])
+		}
+		back, err := ParseDump(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("rendering of an accepted dump rejected: %v\n%s", err, b.String())
+		}
+		if !maps.Equal(back, m) {
+			t.Fatalf("round trip changed the dump: %v, want %v", back, m)
+		}
+	})
 }
 
 // TestDiffGolden pins the snicstat rendering: sorted union of series,

@@ -119,13 +119,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the gauge by delta. Safe on a nil handle.
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
 // Value returns the current value (reader API).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -271,7 +264,7 @@ func (r *Registry) Tracer(track string) *Tracer {
 	defer r.mu.Unlock()
 	t, ok := r.tracers[track]
 	if !ok {
-		t = &Tracer{track: track, cap: r.traceCap}
+		t = &Tracer{cap: r.traceCap}
 		r.tracers[track] = t
 	}
 	return t

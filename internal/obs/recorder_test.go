@@ -76,7 +76,7 @@ func TestRecorderCapacityPinned(t *testing.T) {
 	r.SetTraceCapacity(32)
 	tr := r.Tracer("long")
 	fill(tr, 0, 100_000)
-	if got := tr.retained(); got > 32 {
+	if got := len(tr.Records()); got > 32 {
 		t.Fatalf("retained %d records, capacity 32", got)
 	}
 	if tr.Dropped() != 100_000-32 {
@@ -136,13 +136,13 @@ func TestSetCapacityTrimsExisting(t *testing.T) {
 	// New tracers interned after the call inherit the capacity.
 	fresh := r.Tracer("fresh")
 	fill(fresh, 0, 10)
-	if got := fresh.retained(); got != 3 {
+	if got := len(fresh.Records()); got != 3 {
 		t.Fatalf("fresh tracer retained %d, want 3", got)
 	}
 	// Zero restores unbounded collection (retained records survive).
 	r.SetTraceCapacity(0)
 	fill(tr, 100, 10)
-	if got := tr.retained(); got != 13 {
+	if got := len(tr.Records()); got != 13 {
 		t.Fatalf("after unbounding retained %d, want 13", got)
 	}
 }
@@ -209,10 +209,10 @@ func TestConcurrentSpanRecords(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := tr.retained(); got > 64 {
+	if got := len(tr.Records()); got > 64 {
 		t.Fatalf("retained %d, capacity 64", got)
 	}
-	total := uint64(tr.retained()) + tr.Dropped()
+	total := uint64(len(tr.Records())) + tr.Dropped()
 	if total != 4*500*2 {
 		t.Fatalf("retained+dropped = %d, want %d", total, 4*500*2)
 	}

@@ -33,19 +33,10 @@ type Record struct {
 // always visible.
 type Tracer struct {
 	mu      sync.Mutex
-	track   string
 	cap     int      // 0 = unbounded
 	recs    []Record // ring once len(recs) == cap and cap > 0
 	next    int      // ring write index, meaningful once wrapped
 	dropped uint64   // records evicted by the ring
-}
-
-// Track returns the track name ("-" placeholder on a nil tracer).
-func (t *Tracer) Track() string {
-	if t == nil {
-		return "-"
-	}
-	return t.track
 }
 
 // SetCapacity bounds the track to keep-last-n records (0 restores
@@ -158,17 +149,6 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// retained reports the number of records currently held, for the
-// capacity-pinned tests.
-func (t *Tracer) retained() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.recs)
-}
-
 // CyclesPerMS converts the simulator's millisecond-denominated rate
 // model to the 1.2 GHz cycle domain the timing cores use
 // (cpu.DefaultLatencies), so span stamps and Figure 6 rows are two views
@@ -189,14 +169,6 @@ func MSToCycles(ms float64) uint64 {
 // latency. A nil *Clock reads zero and ignores advances, matching the
 // detached-collector convention.
 type Clock struct{ cycle uint64 }
-
-// Now returns the current cycle.
-func (c *Clock) Now() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.cycle
-}
 
 // Tick advances the clock by dur cycles and returns the cycle the
 // interval started at — the natural shape for "this phase just took

@@ -73,9 +73,6 @@ type SegmentPlan struct {
 	Pages     []Mapping
 }
 
-// Waste returns allocated-but-unused bytes.
-func (s SegmentPlan) Waste() uint64 { return s.Allocated - s.Used }
-
 // PlanSegment covers a segment of `used` bytes with pages from ps.
 func PlanSegment(used uint64, ps PageSet) (SegmentPlan, error) {
 	if err := ps.Validate(); err != nil {

@@ -145,7 +145,7 @@ func TestWasteIsMinimal(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if p.Waste() >= ps[0] {
+			if p.Allocated-p.Used >= ps[0] {
 				return false
 			}
 			if p.Allocated < used {

@@ -58,15 +58,6 @@ func (ft FiveTuple) Key() [16]byte {
 	return k
 }
 
-// Reverse returns the tuple of the opposite direction.
-func (ft FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{
-		SrcIP: ft.DstIP, DstIP: ft.SrcIP,
-		SrcPort: ft.DstPort, DstPort: ft.SrcPort,
-		Proto: ft.Proto,
-	}
-}
-
 // String renders "src:port -> dst:port/proto".
 func (ft FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d->%s:%d/%d",

@@ -147,17 +147,6 @@ func TestFiveTupleKeyUniqueness(t *testing.T) {
 	}
 }
 
-func TestFiveTupleReverse(t *testing.T) {
-	a := tuple()
-	r := a.Reverse()
-	if r.SrcIP != a.DstIP || r.DstPort != a.SrcPort || r.Proto != a.Proto {
-		t.Fatalf("reverse = %+v", r)
-	}
-	if r.Reverse() != a {
-		t.Fatal("double reverse not identity")
-	}
-}
-
 func TestChecksumKnownVector(t *testing.T) {
 	// RFC 1071 example-style check: checksum of a buffer plus its
 	// checksum folds to zero.

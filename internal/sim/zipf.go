@@ -58,9 +58,6 @@ func NewZipf(rng *Rand, n int, s float64) *Zipf {
 // out per-run samplers with this method.
 func (z *Zipf) WithRand(rng *Rand) *Zipf { return &Zipf{cdf: z.cdf, guide: z.guide, rng: rng} }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Next returns the next sampled rank in [0, N).
 func (z *Zipf) Next() int { return z.rank(z.rng.Float64()) }
 
@@ -79,12 +76,4 @@ func (z *Zipf) rank(u float64) int {
 		}
 	}
 	return lo
-}
-
-// Prob returns the probability of rank i.
-func (z *Zipf) Prob(i int) float64 {
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
 }

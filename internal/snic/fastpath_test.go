@@ -81,31 +81,30 @@ func TestWarmPoolIndistinguishableFromFresh(t *testing.T) {
 	}
 	// Dirty the whole reservation so a scrub failure cannot hide
 	// behind never-backed frames.
-	v := d.NF(rep.ID)
 	junk := bytes.Repeat([]byte{0xAB}, int(spec.MemBytes))
 	if err := d.NFWrite(rep.ID, 0, junk); err != nil {
 		t.Fatal(err)
 	}
-	region := v.Mem
 	if _, err := d.Teardown(rep.ID); err != nil {
 		t.Fatal(err)
 	}
 	pm := d.Memory()
-	if pm.PoolFrames() == 0 {
+	pooled := pm.OwnedRanges(mem.Pooled)
+	if len(pooled) == 0 {
 		t.Fatal("teardown parked nothing in the warm arena")
 	}
 	fs := pm.FrameSize()
 	buf := make([]byte, fs)
 	zero := make([]byte, fs)
-	for f := uint64(region.Start) / fs; f < uint64(region.End(fs))/fs; f++ {
-		if pm.FrameOwner(f) != mem.Pooled {
-			continue
-		}
-		if err := pm.Read(mem.Addr(f*fs), buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, zero) {
-			t.Fatalf("pooled frame %d is not scrubbed", f)
+	for _, r := range pooled {
+		for f := uint64(0); f < r.Frames; f++ {
+			pa := r.Start + mem.Addr(f*fs)
+			if err := pm.Read(pa, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, zero) {
+				t.Fatalf("pooled frame at %#x is not scrubbed", pa)
+			}
 		}
 	}
 }

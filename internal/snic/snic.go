@@ -280,9 +280,6 @@ func (d *Device) Memory() *mem.Physical { return d.pm }
 // Switch exposes the packet input/output module.
 func (d *Device) Switch() *pktio.Switch { return d.sw }
 
-// Denylist exposes the hardware-private denylist (read-only use in tests).
-func (d *Device) Denylist() *tlb.Denylist { return d.deny }
-
 // NF returns a launched function's virtual NIC.
 func (d *Device) NF(id ID) *VirtualNIC { return d.nfs[id] }
 
@@ -677,6 +674,3 @@ func (d *Device) Reboot() error {
 	d.nextID = mem.FirstNF
 	return d.hw.Reboot()
 }
-
-// LiveNFs returns the number of running functions.
-func (d *Device) LiveNFs() int { return len(d.nfs) }

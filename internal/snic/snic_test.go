@@ -27,6 +27,22 @@ func newDevice(t *testing.T) *Device {
 	return d
 }
 
+// locked reports whether b refuses new mappings, the state nf_launch
+// leaves every bank it fills in.
+func locked(b *tlb.Bank) bool {
+	err := b.Install(tlb.Entry{VA: 1 << 40, Size: 4096, Perm: tlb.PermRead})
+	return errors.Is(err, tlb.ErrLocked)
+}
+
+// mapped returns the number of virtual bytes b covers.
+func mapped(b *tlb.Bank) uint64 {
+	var n uint64
+	for _, e := range b.Entries() {
+		n += e.Size
+	}
+	return n
+}
+
 func basicSpec() LaunchSpec {
 	return LaunchSpec{
 		CoreMask: 0b0011,
@@ -49,7 +65,7 @@ func TestLaunchBindsResources(t *testing.T) {
 	if len(v.Cores) != 2 || d.FreeCores() != 6 {
 		t.Fatalf("cores: %v free %d", v.Cores, d.FreeCores())
 	}
-	if !v.TLB.Locked() {
+	if !locked(v.TLB) {
 		t.Fatal("core TLB not locked")
 	}
 	if v.VPP == nil {
@@ -99,10 +115,10 @@ func TestLaunchRollbackOnFailure(t *testing.T) {
 	if d.FreeCores() != 8 {
 		t.Fatal("cores leaked")
 	}
-	if d.Denylist().Len() != 0 {
+	if d.deny.Len() != 0 {
 		t.Fatal("denylist entries leaked")
 	}
-	if d.Memory().OwnedBytes(mem.FirstNF) != 0 {
+	if len(d.Memory().OwnedRanges(mem.FirstNF)) != 0 {
 		t.Fatal("memory leaked")
 	}
 	// A follow-up launch works and reuses the resources.
@@ -264,7 +280,7 @@ func TestTeardownScrubsAndReleases(t *testing.T) {
 	if d.NF(rep.ID) != nil {
 		t.Fatal("NF still registered")
 	}
-	if d.FreeCores() != 8 || d.Denylist().Len() != 0 {
+	if d.FreeCores() != 8 || d.deny.Len() != 0 {
 		t.Fatal("resources not released")
 	}
 	// Raw DRAM shows zeroes where the secret was.
@@ -392,10 +408,10 @@ func TestDMABinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := d.NF(rep.ID)
-	if v.DMABank == nil || v.DMABank.Owner() != rep.ID {
+	if v.DMABank == nil {
 		t.Fatal("DMA bank not bound")
 	}
-	// Move data NF -> host.
+	// Move data NF -> host: an unbound bank refuses the transfer.
 	d.NFWrite(rep.ID, 8192, []byte("results"))
 	if err := v.DMABank.ToHost(d.Memory(), 8192, 7, 0); err != nil {
 		t.Fatal(err)
@@ -429,16 +445,19 @@ func TestTeardownUnbindsDMABank(t *testing.T) {
 	if _, err := d.Teardown(first.ID); err != nil {
 		t.Fatal(err)
 	}
-	if bank.Owner() != mem.Free {
-		t.Fatalf("torn-down NF still owns DMA bank: %d", bank.Owner())
+	if err := bank.ToHost(d.Memory(), 0, 8, 0); err == nil {
+		t.Fatal("torn-down NF's DMA bank still moves data")
 	}
 	spec.DMAWindow = dma.NewHostRegion(64 << 10)
 	second, err := d.Launch(spec)
 	if err != nil {
 		t.Fatalf("relaunch on the same DMA core: %v", err)
 	}
-	if got := d.NF(second.ID).DMABank; got != bank || got.Owner() != second.ID {
-		t.Fatalf("DMA bank owner = %d, want the new NF %d", got.Owner(), second.ID)
+	if got := d.NF(second.ID).DMABank; got != bank {
+		t.Fatal("relaunch on the same DMA core got another bank")
+	}
+	if err := bank.ToHost(d.Memory(), 0, 8, 0); err != nil {
+		t.Fatalf("relaunched NF's DMA bank: %v", err)
 	}
 }
 
@@ -455,9 +474,14 @@ func TestAcceleratorBindingThroughLaunch(t *testing.T) {
 	if len(v.DPI) != 2 || len(v.ZIP) != 1 {
 		t.Fatalf("clusters: dpi=%d zip=%d", len(v.DPI), len(v.ZIP))
 	}
+	// Each cluster reaches exactly the NF's own memory, and no more.
+	want, err := v.TLB.Translate(0, tlb.PermRead)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range v.DPI {
-		if c.Owner() != rep.ID || !c.TLB.Locked() {
-			t.Fatal("DPI cluster not bound/locked")
+		if got, err := c.TLB.Translate(0, tlb.PermRead); err != nil || got != want || !locked(c.TLB) {
+			t.Fatalf("DPI cluster maps VA 0 to %#x (%v), want the NF's %#x in a locked bank", got, err, want)
 		}
 	}
 	if _, err := d.Teardown(rep.ID); err != nil {
@@ -553,11 +577,11 @@ func TestSendLocalChainsFunctions(t *testing.T) {
 	// Exchanging frames opens no other path: a stage still faults past
 	// the end of its own mapping.
 	var probe [8]byte
-	if err := d.NFRead(b.ID, tlb.VAddr(d.NF(b.ID).TLB.TotalMapped()+4096), probe[:]); err == nil {
+	if err := d.NFRead(b.ID, tlb.VAddr(mapped(d.NF(b.ID).TLB)+4096), probe[:]); err == nil {
 		t.Fatal("chain stage read past its own mapping")
 	}
 	// The sender cannot source a message from memory it does not map.
-	span := d.NF(a.ID).TLB.TotalMapped()
+	span := mapped(d.NF(a.ID).TLB)
 	if err := d.SendLocal(a.ID, b.ID, tlb.VAddr(span), 64); err == nil {
 		t.Fatal("out-of-mapping local send accepted")
 	}
@@ -639,7 +663,7 @@ func TestLifecycleChurnInvariants(t *testing.T) {
 				t.Fatalf("step %d: NF %d image corrupted (%d != %d)", step, id, img[0], tag)
 			}
 			vn := d.NF(id)
-			if !d.Denylist().Denied(vn.Mem.Start, 1) {
+			if !d.deny.Denied(vn.Mem.Start, 1) {
 				t.Fatalf("step %d: NF %d memory not denylisted", step, id)
 			}
 		}
@@ -694,7 +718,7 @@ func TestRebootTearsDownAndRotatesAK(t *testing.T) {
 	if err := d.Reboot(); err != nil {
 		t.Fatal(err)
 	}
-	if d.LiveNFs() != 0 || d.FreeCores() != 4 {
+	if len(d.nfs) != 0 || d.FreeCores() != 4 {
 		t.Fatal("reboot left residue")
 	}
 	// Relaunch; the new quote carries a different AK.

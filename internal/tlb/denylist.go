@@ -34,18 +34,9 @@ func (d *Denylist) Deny(pa mem.Addr, n uint64, owner mem.Owner) {
 	}
 }
 
-// Allow removes the byte range [pa, pa+n) from the denylist (the
-// "allowlisting" step of nf_destroy in Figure 6).
-func (d *Denylist) Allow(pa mem.Addr, n uint64) {
-	first := uint64(pa) / d.frameSize
-	last := (uint64(pa) + n - 1) / d.frameSize
-	for f := first; f <= last; f++ {
-		delete(d.denied, f)
-	}
-}
-
-// AllowOwner removes every frame recorded for owner, returning how many
-// frames were allowlisted.
+// AllowOwner removes every frame recorded for owner (the "allowlisting"
+// step of nf_destroy in Figure 6), returning how many frames were
+// allowlisted.
 func (d *Denylist) AllowOwner(owner mem.Owner) int {
 	n := 0
 	for f, o := range d.denied {

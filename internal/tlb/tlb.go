@@ -69,9 +69,6 @@ type Bank struct {
 	capacity int
 	entries  []Entry
 	locked   bool
-	// Misses counts failed translations; on a locked bank every miss is
-	// fatal to the owning NF, so the owner watches this via the device.
-	misses uint64
 	// obs handles; nil until Observe attaches a collector.
 	obsFills, obsMisses, obsLockedFaults *obs.Counter
 }
@@ -83,12 +80,6 @@ func NewBank(capacity int) *Bank {
 
 // Len returns the number of installed entries.
 func (b *Bank) Len() int { return len(b.entries) }
-
-// Locked reports whether the bank has been locked read-only.
-func (b *Bank) Locked() bool { return b.locked }
-
-// Misses returns the count of failed translations.
-func (b *Bank) Misses() uint64 { return b.misses }
 
 // Observe attaches fill/miss/locked-fault counters to reg under the
 // given device and owner labels (component "tlb"). A nil reg leaves the
@@ -212,7 +203,6 @@ func (b *Bank) lookup(va VAddr) int {
 
 // miss counts a failed translation and returns ErrMiss.
 func (b *Bank) miss() error {
-	b.misses++
 	b.obsMisses.Inc()
 	if b.locked {
 		// On a locked S-NIC bank a miss is a fatal fault, not a refill.
@@ -225,13 +215,4 @@ func (b *Bank) miss() error {
 // hashing and tests).
 func (b *Bank) Entries() []Entry {
 	return append([]Entry(nil), b.entries...)
-}
-
-// TotalMapped returns the number of virtual bytes the bank covers.
-func (b *Bank) TotalMapped() uint64 {
-	var n uint64
-	for _, e := range b.entries {
-		n += e.Size
-	}
-	return n
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"snic/internal/mem"
+	"snic/internal/obs"
 	"snic/internal/sim"
 )
 
@@ -19,6 +20,16 @@ func entry(vaPage, paPage int, perm Perm) Entry {
 		Size: page,
 		Perm: perm,
 	}
+}
+
+// observed returns a bank of capacity n with its counters attached to
+// a fresh registry, and a reader of its miss counter.
+func observed(n int) (*Bank, func() uint64) {
+	reg := obs.NewRegistry()
+	b := NewBank(n)
+	b.Observe(reg, "nic", "nf")
+	misses := reg.Counter(obs.Label{Device: "nic", Owner: "nf", Component: "tlb", Name: "misses"})
+	return b, misses.Value
 }
 
 // nop is a Span callback that moves nothing.
@@ -43,24 +54,24 @@ func TestInstallAndTranslate(t *testing.T) {
 }
 
 func TestTranslateMiss(t *testing.T) {
-	b := NewBank(2)
+	b, misses := observed(2)
 	b.Install(entry(0, 1, PermRW))
 	if _, err := b.Translate(VAddr(5*page), PermRead); !errors.Is(err, ErrMiss) {
 		t.Fatalf("err = %v", err)
 	}
-	if b.Misses() != 1 {
-		t.Fatalf("misses = %d", b.Misses())
+	if misses() != 1 {
+		t.Fatalf("misses = %d", misses())
 	}
 }
 
 func TestTranslatePermission(t *testing.T) {
-	b := NewBank(2)
+	b, misses := observed(2)
 	b.Install(entry(0, 1, PermRead))
 	if _, err := b.Translate(0, PermWrite); !errors.Is(err, ErrPerm) {
 		t.Fatalf("err = %v", err)
 	}
 	// A permission violation is not a miss.
-	if b.Misses() != 0 {
+	if misses() != 0 {
 		t.Fatal("permission fault counted as miss")
 	}
 }
@@ -72,7 +83,7 @@ func TestLockPreventsInstall(t *testing.T) {
 	if err := b.Install(entry(1, 2, PermRW)); !errors.Is(err, ErrLocked) {
 		t.Fatalf("err = %v", err)
 	}
-	if !b.Locked() {
+	if !b.locked {
 		t.Fatal("not locked")
 	}
 	// Translation still works when locked.
@@ -149,8 +160,12 @@ func TestVariablePageSizes(t *testing.T) {
 		va += s
 		pa += s
 	}
-	if b.TotalMapped() != (128<<10)+(2<<20)+(32<<20) {
-		t.Fatalf("TotalMapped = %d", b.TotalMapped())
+	var mapped uint64
+	for _, e := range b.entries {
+		mapped += e.Size
+	}
+	if mapped != (128<<10)+(2<<20)+(32<<20) {
+		t.Fatalf("mapped = %d", mapped)
 	}
 }
 
@@ -167,7 +182,7 @@ func TestDenylistDeniesAndAllows(t *testing.T) {
 	if !d.Denied(mem.Addr(3*page+page/2), page) {
 		t.Fatal("straddling access not detected")
 	}
-	d.Allow(mem.Addr(4*page), 2*page)
+	d.AllowOwner(mem.FirstNF)
 	if d.Denied(mem.Addr(4*page), 2*page) {
 		t.Fatal("allow did not clear")
 	}

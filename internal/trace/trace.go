@@ -123,9 +123,6 @@ func wellKnownPort(rng *sim.Rand) uint16 {
 	return ports[rng.Intn(len(ports))]
 }
 
-// NumFlows returns the pool size.
-func (p *Pool) NumFlows() int { return len(p.flows) }
-
 // Flow returns flow i's tuple.
 func (p *Pool) Flow(i int) pkt.FiveTuple { return p.flows[i] }
 
@@ -183,9 +180,8 @@ func IMIXLen(rng *sim.Rand) int {
 // CAIDAStream models the one-hour CAIDA-like trace as an arrival process:
 // new flows appear continuously, and packets are drawn from live flows
 // with heavy-tailed per-flow packet counts (mean ~50, like 1.34 G packets
-// over 26.7 M flows). It is a constant-memory iterator: Advance (or
-// AdvanceFlows) extends the generation horizon without materializing
-// anything, and Next yields one packet at a time — the flow keys appear
+// over 26.7 M flows). It is a constant-memory iterator: Advance extends
+// the generation horizon without materializing anything, and Next yields one packet at a time — the flow keys appear
 // in exactly the order the old slice-returning Advance emitted them
 // (each new flow's tuple repeated perFlow consecutive times), so a drain
 // loop over Next is draw-for-draw identical to ranging over the slice.
@@ -232,16 +228,6 @@ func (c *CAIDAStream) Advance(dt float64, perFlowPackets int) {
 	}
 	c.elapsed += dt
 	c.target = uint64(c.elapsed * c.flowRate)
-	c.perFlow = perFlowPackets
-}
-
-// AdvanceFlows extends the horizon by an explicit number of new flows,
-// for callers that think in flow budgets rather than simulated seconds.
-func (c *CAIDAStream) AdvanceFlows(flows uint64, perFlowPackets int) {
-	if perFlowPackets < 1 {
-		perFlowPackets = 1
-	}
-	c.target += flows
 	c.perFlow = perFlowPackets
 }
 
