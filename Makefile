@@ -58,15 +58,17 @@ fleet:
 
 # Go line counts the way ROADMAP reports them: files tracked by git,
 # outside bench/ and testdata/, split into production and test code,
-# plus the number of functions no shipped program reaches (the
-# allowlist TestEveryFunctionIsReached keeps). Information only;
-# nothing gates on it.
+# plus the number of functions no shipped program reaches and of fields
+# no shipped program both sets and reads (the allowlists
+# TestEveryFunctionIsReached and TestEveryFieldIsSetAndRead keep).
+# Information only; nothing gates on it.
 .PHONY: loc
 loc:
 	@files=$$(git ls-files '*.go' | grep -v -e '^bench/' -e testdata); \
 	echo "production: $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l) lines"; \
 	echo "test:       $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l) lines"; \
-	echo "unreached:  $$(wc -l < internal/lint/testdata/unreached.txt) functions"
+	echo "unreached:  $$(wc -l < internal/lint/testdata/unreached.txt) functions"; \
+	echo "fields:     $$(wc -l < internal/lint/testdata/fields.txt) fields"
 
 .PHONY: fmt
 fmt:

@@ -42,14 +42,6 @@ import (
 	"snic/internal/tlb"
 )
 
-// Result reports one attack run.
-type Result struct {
-	Name      string
-	Target    string
-	Succeeded bool
-	Detail    string
-}
-
 // Attack is one entry of the suite. Exploits is the defense capability
 // that blocks it; Requires is an architectural property without which
 // the attack surface does not exist (e.g. controlled channels need a
@@ -58,7 +50,7 @@ type Attack struct {
 	Name     string
 	Exploits device.Capability
 	Requires device.Capability
-	run      func(dev device.NIC) (Result, error)
+	run      func(dev device.NIC) (bool, error)
 }
 
 // Expected predicts the outcome against a device with the given
@@ -68,19 +60,14 @@ func (a Attack) Expected(caps device.Capability) bool {
 	return caps.Has(a.Requires) && !caps.Has(a.Exploits)
 }
 
-// Run executes the attack against dev. A device lacking the attack's
-// prerequisites is reported as blocked ("not applicable") without
-// running anything.
-func (a Attack) Run(dev device.NIC) (Result, error) {
+// Run executes the attack against dev and reports whether it achieved
+// its goal. A device lacking the attack's prerequisites blocks it
+// without running anything.
+func (a Attack) Run(dev device.NIC) (bool, error) {
 	if !dev.Caps().Has(a.Requires) {
-		return Result{
-			Name: a.Name, Target: dev.Model(),
-			Detail: fmt.Sprintf("not applicable: device lacks %s", a.Requires),
-		}, nil
+		return false, nil
 	}
-	res, err := a.run(dev)
-	res.Name, res.Target = a.Name, dev.Model()
-	return res, err
+	return a.run(dev)
 }
 
 // Suite returns the full attack suite in report order.
@@ -88,8 +75,8 @@ func Suite() []Attack {
 	return []Attack{
 		{
 			Name: "packet-corruption", Exploits: device.SingleOwnerRAM,
-			run: func(dev device.NIC) (Result, error) {
-				return withPair(dev, func(victim, attacker device.FuncID) (Result, error) {
+			run: func(dev device.NIC) (bool, error) {
+				return withPair(dev, func(victim, attacker device.FuncID) (bool, error) {
 					frame := (&pkt.Packet{
 						Tuple: pkt.FiveTuple{
 							SrcIP: 0x0A000001, DstIP: 0x08080808,
@@ -103,8 +90,8 @@ func Suite() []Attack {
 		},
 		{
 			Name: "dpi-ruleset-theft", Exploits: device.SingleOwnerRAM,
-			run: func(dev device.NIC) (Result, error) {
-				return withPair(dev, func(victim, attacker device.FuncID) (Result, error) {
+			run: func(dev device.NIC) (bool, error) {
+				return withPair(dev, func(victim, attacker device.FuncID) (bool, error) {
 					ruleset := []byte("alert tcp any any -> any 80 (threat signature db)")
 					return Theft(dev, victim, attacker, ruleset)
 				})
@@ -112,70 +99,52 @@ func Suite() []Attack {
 		},
 		{
 			Name: "io-bus-dos", Exploits: device.ArbitratedBus,
-			run: func(dev device.NIC) (Result, error) {
+			run: func(dev device.NIC) (bool, error) {
 				return BusDoS(dev, 200000)
 			},
 		},
 		{
 			Name: "secure-os-snooping", Exploits: device.MgmtIsolated,
-			run: func(dev device.NIC) (Result, error) {
-				return withPair(dev, func(victim, _ device.FuncID) (Result, error) {
+			run: func(dev device.NIC) (bool, error) {
+				return withPair(dev, func(victim, _ device.FuncID) (bool, error) {
 					return MgmtSnoop(dev, victim, []byte("tenant TLS session keys"))
 				})
 			},
 		},
 		{
 			Name: "cache-prime+probe", Exploits: device.PartitionedCache,
-			run: func(dev device.NIC) (Result, error) {
+			run: func(dev device.NIC) (bool, error) {
 				acc, err := PrimeProbe(dev.CachePolicy(), 512, 0x9E)
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{
-					Succeeded: acc > 0.9,
-					Detail:    fmt.Sprintf("attacker bit accuracy %.2f over 512 secret bits", acc),
-				}, nil
+				return acc > 0.9, err
 			},
 		},
 		{
 			Name: "crypto-contention", Exploits: device.PrivateAccel,
-			run: func(dev device.NIC) (Result, error) {
-				return withPair(dev, func(victim, attacker device.FuncID) (Result, error) {
-					acc := CryptoContention(dev, victim, attacker, 256, 0xC0)
-					return Result{
-						Succeeded: acc > 0.9,
-						Detail:    fmt.Sprintf("queueing-delay accuracy %.2f over 256 rounds", acc),
-					}, nil
+			run: func(dev device.NIC) (bool, error) {
+				return withPair(dev, func(victim, attacker device.FuncID) (bool, error) {
+					return CryptoContention(dev, victim, attacker, 256, 0xC0) > 0.9, nil
 				})
 			},
 		},
 		{
 			Name: "controlled-channel", Exploits: device.LockedTLB, Requires: device.DemandPaging,
-			run: func(dev device.NIC) (Result, error) {
-				frac := ControlledChannel(dev.Caps().Has(device.LockedTLB), []byte("page-walk secret"))
-				return Result{
-					Succeeded: frac > 0.9,
-					Detail:    fmt.Sprintf("fault stream recovered %.0f%% of secret bits", frac*100),
-				}, nil
+			run: func(dev device.NIC) (bool, error) {
+				return ControlledChannel(dev.Caps().Has(device.LockedTLB), []byte("page-walk secret")) > 0.9, nil
 			},
 		},
 		{
 			Name: "flow-watermarking", Exploits: device.ArbitratedBus,
-			run: func(dev device.NIC) (Result, error) {
-				acc := Watermark(dev.NewBusArbiter, 128, 0x77)
-				return Result{
-					Succeeded: acc > 0.75,
-					Detail:    fmt.Sprintf("watermark decode accuracy %.2f over 128 windows", acc),
-				}, nil
+			run: func(dev device.NIC) (bool, error) {
+				return Watermark(dev.NewBusArbiter, 128, 0x77) > 0.75, nil
 			},
 		},
 	}
 }
 
-// RunAll runs the whole suite against one device and collects the
-// results in suite order.
-func RunAll(dev device.NIC) ([]Result, error) {
-	var out []Result
+// RunAll runs the whole suite against one device and reports, in suite
+// order, which attacks achieved their goal.
+func RunAll(dev device.NIC) ([]bool, error) {
+	var out []bool
 	for _, a := range Suite() {
 		res, err := a.Run(dev)
 		if err != nil {
@@ -190,7 +159,7 @@ func RunAll(dev device.NIC) ([]Result, error) {
 // attacker function, runs fn, and tears both down so a suite run never
 // exhausts a small device's cores. The footprint is kept small because
 // several models (faithfully) never recycle torn-down reservations.
-func withPair(dev device.NIC, fn func(victim, attacker device.FuncID) (Result, error)) (Result, error) {
+func withPair(dev device.NIC, fn func(victim, attacker device.FuncID) (bool, error)) (bool, error) {
 	const funcBytes = 256 << 10
 	victim, err := dev.Launch(device.FuncSpec{
 		Name:     "victim",
@@ -198,12 +167,12 @@ func withPair(dev device.NIC, fn func(victim, attacker device.FuncID) (Result, e
 		Rules:    []pktio.MatchSpec{{Proto: pkt.ProtoTCP, DstPortLo: 80, DstPortHi: 80}},
 	})
 	if err != nil {
-		return Result{}, err
+		return false, err
 	}
 	defer dev.Teardown(victim)
 	attacker, err := dev.Launch(device.FuncSpec{Name: "mallory", MemBytes: funcBytes})
 	if err != nil {
-		return Result{}, err
+		return false, err
 	}
 	defer dev.Teardown(attacker)
 	return fn(victim, attacker)
@@ -240,36 +209,32 @@ func scanFor(dev device.NIC, attacker device.FuncID, sig []byte) (mem.Addr, bool
 }
 
 // Theft plants a secret in the victim's memory and has the attacker
-// scan raw physical memory for it (§3.3's DPI ruleset theft).
-func Theft(dev device.NIC, victim, attacker device.FuncID, secret []byte) (Result, error) {
-	res := Result{Name: "dpi-ruleset-theft", Target: dev.Model()}
+// scan raw physical memory for it (§3.3's DPI ruleset theft). It
+// succeeds when a raw-memory path reaches the ruleset.
+func Theft(dev device.NIC, victim, attacker device.FuncID, secret []byte) (bool, error) {
 	if err := dev.Write(victim, 4096, secret); err != nil {
-		return res, err
+		return false, err
 	}
-	if pa, ok := scanFor(dev, attacker, secret); ok {
-		res.Succeeded = true
-		res.Detail = fmt.Sprintf("exfiltrated %d-byte ruleset from PA %#x", len(secret), pa)
-		return res, nil
-	}
-	res.Detail = "no raw-memory path reached the ruleset"
-	return res, nil
+	_, found := scanFor(dev, attacker, secret)
+	return found, nil
 }
 
 // Corruption injects a frame steered to the victim, then has the
 // attacker locate the buffered payload in device memory and flip bytes
-// before the victim consumes it (§3.3's MazuNAT packet corruption).
-func Corruption(dev device.NIC, victim, attacker device.FuncID, frame []byte) (Result, error) {
-	res := Result{Name: "packet-corruption", Target: dev.Model()}
+// before the victim consumes it (§3.3's MazuNAT packet corruption). It
+// succeeds when the victim retrieves a corrupted frame; single-owner
+// RAM keeps it intact.
+func Corruption(dev device.NIC, victim, attacker device.FuncID, frame []byte) (bool, error) {
 	to, err := dev.Inject(frame)
 	if err != nil {
-		return res, err
+		return false, err
 	}
 	if to != victim {
-		return res, fmt.Errorf("attacks: frame steered to function %d, want %d", to, victim)
+		return false, fmt.Errorf("attacks: frame steered to function %d, want %d", to, victim)
 	}
 	p, err := pkt.Parse(frame)
 	if err != nil {
-		return res, err
+		return false, err
 	}
 	if pa, ok := scanFor(dev, attacker, p.Payload); ok {
 		// Found the buffered frame: wreck the payload in place.
@@ -277,15 +242,9 @@ func Corruption(dev device.NIC, victim, attacker device.FuncID, frame []byte) (R
 	}
 	got, err := dev.Retrieve(victim)
 	if err != nil {
-		return res, err
+		return false, err
 	}
-	if !bytes.Equal(got, frame) {
-		res.Succeeded = true
-		res.Detail = "victim frame corrupted in shared DRAM before delivery"
-		return res, nil
-	}
-	res.Detail = "victim frame intact; single-owner RAM held"
-	return res, nil
+	return !bytes.Equal(got, frame), nil
 }
 
 // BusDoS floods the shared bus from one client, then issues a single
@@ -293,55 +252,40 @@ func Corruption(dev device.NIC, victim, attacker device.FuncID, frame []byte) (R
 // the watchdog and the NIC hard-crashes; under temporal partitioning
 // the victim is served inside its own epochs. The attacker issues its
 // ops back-to-back (each at its own completion time), so it never
-// starves itself even on a partitioned bus.
-func BusDoS(dev device.NIC, attackOps int) (Result, error) {
-	res := Result{Name: "io-bus-dos", Target: dev.Model()}
+// starves itself even on a partitioned bus. It succeeds when any
+// transaction trips the watchdog.
+func BusDoS(dev device.NIC, attackOps int) (bool, error) {
 	const victimClient, attackerClient = 0, 1
 	now := uint64(0)
 	for i := 0; i < attackOps; i++ {
 		done, err := dev.BusOp(attackerClient, now)
 		if err != nil {
-			// The attacker itself tripped the watchdog — still a crash.
-			res.Succeeded = true
-			res.Detail = fmt.Sprintf("NIC crashed after %d attacker ops", i)
-			return res, nil
+			return true, nil // the attacker itself crashed the NIC
 		}
 		now = done
 	}
-	if _, err := dev.BusOp(victimClient, 0); err != nil {
-		res.Succeeded = true
-		res.Detail = "victim transaction tripped the watchdog; power cycle required"
-		return res, nil
-	}
-	res.Detail = "victim served within its reserved epochs"
-	return res, nil
+	_, err := dev.BusOp(victimClient, 0)
+	return err != nil, nil
 }
 
 // MgmtSnoop plants a secret in the victim's memory and reads it back
 // through the management path (§3.2's BlueField secure-world hole; on
-// S-NIC the denylist refuses the mapping).
-func MgmtSnoop(dev device.NIC, victim device.FuncID, secret []byte) (Result, error) {
-	res := Result{Name: "secure-os-snooping", Target: dev.Model()}
+// S-NIC the denylist refuses the mapping). It succeeds when the
+// management OS reads the secret wholesale.
+func MgmtSnoop(dev device.NIC, victim device.FuncID, secret []byte) (bool, error) {
 	const off = 8192
 	if err := dev.Write(victim, off, secret); err != nil {
-		return res, err
+		return false, err
 	}
 	r, ok := dev.Region(victim)
 	if !ok {
-		return res, device.ErrNoFunc
+		return false, device.ErrNoFunc
 	}
 	got := make([]byte, len(secret))
 	if err := dev.MgmtRead(r.Start+off, got); err != nil {
-		res.Detail = fmt.Sprintf("management mapping refused: %v", err)
-		return res, nil
+		return false, nil // the management mapping was refused
 	}
-	if bytes.Equal(got, secret) {
-		res.Succeeded = true
-		res.Detail = "management OS read the tenant's secret wholesale"
-		return res, nil
-	}
-	res.Detail = "management read returned unrelated bytes"
-	return res, nil
+	return bytes.Equal(got, secret), nil
 }
 
 // CryptoContention measures the shared-accelerator side channel: the

@@ -33,14 +33,9 @@ func TestSuiteMatchesCapabilityPrediction(t *testing.T) {
 				t.Fatalf("got %d results for %d attacks", len(results), len(suite))
 			}
 			for i, a := range suite {
-				want := a.Expected(dev.Caps())
-				got := results[i]
-				if got.Name != a.Name || got.Target != model {
-					t.Fatalf("result %d mislabelled: %+v", i, got)
-				}
-				if got.Succeeded != want {
-					t.Errorf("%s vs %s: succeeded=%v, capability prediction %v (%s)",
-						a.Name, model, got.Succeeded, want, got.Detail)
+				if want := a.Expected(dev.Caps()); results[i] != want {
+					t.Errorf("%s vs %s: succeeded=%v, capability prediction %v",
+						a.Name, model, results[i], want)
 				}
 			}
 		})
@@ -54,9 +49,9 @@ func TestSNICBlocksEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
-		if r.Succeeded {
-			t.Errorf("%s succeeded against S-NIC: %s", r.Name, r.Detail)
+	for i, a := range Suite() {
+		if results[i] {
+			t.Errorf("%s succeeded against S-NIC", a.Name)
 		}
 	}
 }
@@ -71,9 +66,9 @@ func TestEveryAttackLandsSomewhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range results {
-			if r.Succeeded {
-				landed[r.Name] = true
+		for i, a := range Suite() {
+			if results[i] {
+				landed[a.Name] = true
 			}
 		}
 	}
@@ -92,12 +87,12 @@ func TestRequiresGate(t *testing.T) {
 		if a.Name != "controlled-channel" {
 			continue
 		}
-		res, err := a.Run(dev)
+		succeeded, err := a.Run(dev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Succeeded {
-			t.Fatalf("controlled channel succeeded without demand paging: %s", res.Detail)
+		if succeeded {
+			t.Fatal("controlled channel succeeded without demand paging")
 		}
 	}
 }

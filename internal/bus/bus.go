@@ -47,7 +47,6 @@ type Arbiter interface {
 // Stats tracks per-domain bus usage.
 type Stats struct {
 	Transactions uint64
-	BusyCycles   uint64
 	WaitCycles   uint64
 }
 
@@ -107,7 +106,6 @@ func (t *Tracker) Request(domain int, now, dur uint64) uint64 {
 	start := t.Arbiter.Request(domain, now, dur)
 	s := &t.stats[domain]
 	s.Transactions++
-	s.BusyCycles += dur
 	s.WaitCycles += start - now
 	if t.obsGrants != nil {
 		t.obsGrants[domain].Inc()

@@ -258,8 +258,11 @@ func (c *Core) nextOp(s Stream) (Op, bool) {
 type Runner struct {
 	Cores   []*Core
 	Streams []Stream
-	Quantum uint64 // cycles per scheduling quantum
 }
+
+// quantum is the scheduling quantum in cycles: no live core runs more
+// than this far past the slowest one.
+const quantum = 200
 
 // RunInstr advances every core until each has retired at least perCore
 // instructions (or its stream is exhausted). Cores that finish early stop;
@@ -268,10 +271,6 @@ type Runner struct {
 func (r *Runner) RunInstr(perCore uint64) {
 	if len(r.Cores) != len(r.Streams) {
 		panic("cpu: cores/streams length mismatch")
-	}
-	q := r.Quantum
-	if q == 0 {
-		q = 200
 	}
 	targets := make([]uint64, len(r.Cores))
 	done := make([]bool, len(r.Cores))
@@ -297,7 +296,7 @@ func (r *Runner) RunInstr(perCore uint64) {
 		if allDone {
 			return
 		}
-		horizon := minCycle + q
+		horizon := minCycle + quantum
 		for i, c := range r.Cores {
 			if done[i] {
 				continue

@@ -168,7 +168,7 @@ func TestRunnerInterleavesFairly(t *testing.T) {
 	}
 	c0, s0 := mk(0)
 	c1, s1 := mk(1)
-	r := &Runner{Cores: []*Core{c0, c1}, Streams: []Stream{s0, s1}, Quantum: 100}
+	r := &Runner{Cores: []*Core{c0, c1}, Streams: []Stream{s0, s1}}
 	r.RunInstr(50000)
 	if c0.Instret() < 50000 || c1.Instret() < 50000 {
 		t.Fatalf("instret: %d, %d", c0.Instret(), c1.Instret())
@@ -343,7 +343,7 @@ func TestRunnerBatchedMatchesUnbatched(t *testing.T) {
 		if !batch {
 			sa, sb = nextOnly{sa}, nextOnly{sb}
 		}
-		r := &Runner{Cores: []*Core{a, b}, Streams: []Stream{sa, sb}, Quantum: 100}
+		r := &Runner{Cores: []*Core{a, b}, Streams: []Stream{sa, sb}}
 		r.RunInstr(1000) // warmup
 		a.ResetCounters()
 		b.ResetCounters()

@@ -24,7 +24,7 @@ func newAgilio(spec Spec) (*agilio, error) {
 
 func (d *agilio) Launch(spec FuncSpec) (FuncID, error) {
 	spec.defaults()
-	mask, err := d.cores.pick(spec.CoreMask)
+	core, err := d.cores.pick()
 	if err != nil {
 		return 0, err
 	}
@@ -35,7 +35,7 @@ func (d *agilio) Launch(spec FuncSpec) (FuncID, error) {
 	if err := d.pm.Write(region.Start, spec.Image); err != nil {
 		return 0, err
 	}
-	return d.register(spec, region, mask), nil
+	return d.register(spec, region, core), nil
 }
 
 // Teardown returns the function's frames to the allocator, unscrubbed.

@@ -41,7 +41,7 @@ func newBlueField(spec Spec) (*blueField, error) {
 
 func (d *blueField) Launch(spec FuncSpec) (FuncID, error) {
 	spec.defaults()
-	mask, err := d.cores.pick(spec.CoreMask)
+	core, err := d.cores.pick()
 	if err != nil {
 		return 0, err
 	}
@@ -55,7 +55,7 @@ func (d *blueField) Launch(spec FuncSpec) (FuncID, error) {
 	if err := d.pm.Write(region.Start, spec.Image); err != nil {
 		return 0, err
 	}
-	return d.register(spec, region, mask), nil
+	return d.register(spec, region, core), nil
 }
 
 // normalWorld is the address-space controller's check on a

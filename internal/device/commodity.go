@@ -184,11 +184,11 @@ func (c *commBase) MgmtRead(pa mem.Addr, buf []byte) error {
 	return c.pm.Read(pa, buf)
 }
 
-// register files a launched function under the next id, on the cores
-// of mask (validated by corePool.pick).
-func (c *commBase) register(spec FuncSpec, region mem.Range, mask uint64) FuncID {
+// register files a launched function under the next id, on core (the
+// free core corePool.pick chose).
+func (c *commBase) register(spec FuncSpec, region mem.Range, core int) FuncID {
 	id := c.nextID
-	c.cores.bind(id, mask)
+	c.cores.owner[core] = id
 	c.funcs[id] = &commFunc{region: region, bytes: spec.MemBytes, rules: spec.Rules}
 	c.order = append(c.order, id)
 	c.nextID++

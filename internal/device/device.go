@@ -112,7 +112,6 @@ type FuncSpec struct {
 	Name     string
 	Image    []byte            // initial code+data (default: Name bytes)
 	MemBytes uint64            // memory reservation (default 1 MB)
-	CoreMask uint64            // cores to bind; 0 = auto-pick one free core
 	Rules    []pktio.MatchSpec // ingress steering predicates
 }
 

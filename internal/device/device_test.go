@@ -75,7 +75,7 @@ func TestConformanceLifecycle(t *testing.T) {
 			if dev.Resources().Cores != 2 || dev.FreeCores() != 2 {
 				t.Fatalf("fresh device: cores=%d free=%d", dev.Resources().Cores, dev.FreeCores())
 			}
-			a, err := dev.Launch(FuncSpec{Name: "a", MemBytes: 256 << 10, CoreMask: 0b01})
+			a, err := dev.Launch(FuncSpec{Name: "a", MemBytes: 256 << 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestConformanceLifecycle(t *testing.T) {
 			if dev.FreeCores() != 1 {
 				t.Fatalf("after teardown: free=%d", dev.FreeCores())
 			}
-			c, err := dev.Launch(FuncSpec{Name: "c", MemBytes: 256 << 10, CoreMask: 0b01})
+			c, err := dev.Launch(FuncSpec{Name: "c", MemBytes: 256 << 10})
 			if err != nil {
 				t.Fatalf("relaunch on freed core: %v", err)
 			}

@@ -82,7 +82,7 @@ func (d *liquidIO) Launch(spec FuncSpec) (FuncID, error) {
 	if spec.MemBytes > math.MaxUint32 {
 		return 0, fmt.Errorf("device: %s reservation too large", d.model)
 	}
-	mask, err := d.cores.pick(spec.CoreMask)
+	core, err := d.cores.pick()
 	if err != nil {
 		return 0, err
 	}
@@ -95,7 +95,7 @@ func (d *liquidIO) Launch(spec FuncSpec) (FuncID, error) {
 	}
 	fs := d.pm.FrameSize()
 	region := mem.Range{Start: addr, Frames: (spec.MemBytes + fs - 1) / fs}
-	return d.register(spec, region, mask), nil
+	return d.register(spec, region, core), nil
 }
 
 func (d *liquidIO) Inject(frame []byte) (FuncID, error) {

@@ -69,41 +69,14 @@ type corePool struct {
 
 func newCorePool(n int) *corePool { return &corePool{owner: make([]FuncID, n)} }
 
-// pick validates mask against the pool (or, for mask 0, selects the
-// lowest free core) without binding anything.
-func (p *corePool) pick(mask uint64) (uint64, error) {
-	if mask == 0 {
-		for i := range p.owner {
-			if p.owner[i] == mem.Free {
-				mask = 1 << uint(i)
-				break
-			}
-		}
-		if mask == 0 {
-			return 0, ErrNoCores
+// pick returns the lowest free core without binding it.
+func (p *corePool) pick() (int, error) {
+	for i, o := range p.owner {
+		if o == mem.Free {
+			return i, nil
 		}
 	}
-	for i := 0; i < 64; i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		if i >= len(p.owner) {
-			return 0, fmt.Errorf("device: core %d does not exist", i)
-		}
-		if p.owner[i] != mem.Free {
-			return 0, fmt.Errorf("device: core %d already bound to function %d", i, p.owner[i])
-		}
-	}
-	return mask, nil
-}
-
-// bind assigns the cores in mask, as validated by pick, to id.
-func (p *corePool) bind(id FuncID, mask uint64) {
-	for i := range p.owner {
-		if mask&(1<<uint(i)) != 0 {
-			p.owner[i] = id
-		}
-	}
+	return 0, ErrNoCores
 }
 
 func (p *corePool) release(id FuncID) {

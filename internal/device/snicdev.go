@@ -98,21 +98,16 @@ func (s *SNIC) LaunchTimed(spec FuncSpec) (FuncID, snic.LaunchReport, error) {
 	return s.launch(spec, 32<<10)
 }
 
-// launch runs nf_launch on spec's cores (mask 0: the device's lowest
-// free core) with portBuf bytes of port buffer per direction (0 =
-// snic's per-function default).
+// launch runs nf_launch on the device's lowest free core with portBuf
+// bytes of port buffer per direction (0 = snic's per-function default).
 func (s *SNIC) launch(spec FuncSpec, portBuf uint64) (FuncID, snic.LaunchReport, error) {
 	spec.defaults()
-	mask := spec.CoreMask
-	if mask == 0 {
-		free := s.dev.FreeCoreMask()
-		if free == 0 {
-			return 0, snic.LaunchReport{}, ErrNoCores
-		}
-		mask = free & -free
+	free := s.dev.FreeCoreMask()
+	if free == 0 {
+		return 0, snic.LaunchReport{}, ErrNoCores
 	}
 	rep, err := s.dev.Launch(snic.LaunchSpec{
-		CoreMask:   mask,
+		CoreMask:   free & -free,
 		Image:      spec.Image,
 		MemBytes:   mem.AlignUp(spec.MemBytes, s.dev.Memory().FrameSize()),
 		Rules:      spec.Rules,

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -71,15 +72,38 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: load checkpoint: %w", err)
 	}
-	ck := &Checkpoint{}
-	if err := json.Unmarshal(data, ck); err != nil {
+	ck, err := parseCheckpoint(data)
+	if err != nil {
 		return nil, fmt.Errorf("engine: load checkpoint %s: %w", path, err)
 	}
-	if ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("engine: checkpoint %s: version %d, want %d",
-			path, ck.Version, CheckpointVersion)
-	}
 	ck.path = path
+	return ck, nil
+}
+
+// parseCheckpoint decodes a checkpoint and rejects any shard record that
+// no save writes: a done shard without a result (encoding/json would
+// decode an absent or null result into a zero value, and the resume
+// would merge it), an unfinished shard that carries a result, and a
+// shard whose index is not its position.
+func parseCheckpoint(data []byte) (*Checkpoint, error) {
+	ck := &Checkpoint{}
+	if err := json.Unmarshal(data, ck); err != nil {
+		return nil, err
+	}
+	if ck.Version != CheckpointVersion {
+		return nil, fmt.Errorf("version %d, want %d", ck.Version, CheckpointVersion)
+	}
+	for i, s := range ck.Shards {
+		hasResult := len(s.Result) > 0 && !bytes.Equal(s.Result, []byte("null"))
+		switch {
+		case s.Index != i:
+			return nil, fmt.Errorf("shard %d records index %d", i, s.Index)
+		case s.Done && !hasResult:
+			return nil, fmt.Errorf("shard %d is done but has no result", i)
+		case !s.Done && len(s.Result) > 0:
+			return nil, fmt.Errorf("shard %d is unfinished but has a result", i)
+		}
+	}
 	return ck, nil
 }
 

@@ -97,7 +97,6 @@ type JobStat struct {
 type Metrics struct {
 	Experiment string // Experiment of the first job
 	Workers    int    // actual pool size used
-	Started    int
 	Finished   int
 	Failed     int
 	Wall       time.Duration
@@ -172,7 +171,7 @@ func Run[T any](cfg Config, jobs []Job[T]) ([]T, Metrics, error) {
 		wall = defaultWall
 	}
 
-	var started, finished atomic.Int64
+	var finished atomic.Int64
 	var cbMu sync.Mutex
 	var wg sync.WaitGroup
 	idx := make(chan int)
@@ -184,7 +183,6 @@ func Run[T any](cfg Config, jobs []Job[T]) ([]T, Metrics, error) {
 			defer wg.Done()
 			for i := range idx {
 				job := jobs[i]
-				started.Add(1)
 				rng := sim.DeriveRand(cfg.Seed, job.Experiment, job.Key)
 				jt := wall.Start()
 				v, err := runOne(job, rng)
@@ -212,7 +210,6 @@ func Run[T any](cfg Config, jobs []Job[T]) ([]T, Metrics, error) {
 	wg.Wait()
 
 	m.Wall = wall.Since(t0)
-	m.Started = int(started.Load())
 	m.Finished = int(finished.Load())
 	var firstErr error
 	for _, s := range m.Jobs {

@@ -111,7 +111,7 @@ func TestMetricsAndProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Started != 10 || m.Finished != 10 || m.Failed != 0 {
+	if m.Finished != 10 || m.Failed != 0 {
 		t.Fatalf("counts: %+v", m)
 	}
 	if m.Workers != 3 {

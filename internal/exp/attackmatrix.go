@@ -13,7 +13,7 @@ import (
 // matrix: the full suite run against a freshly built instance.
 type AttackCol struct {
 	Model   string
-	Results []attacks.Result
+	Exposed []bool // in suite order: whether each attack achieved its goal
 }
 
 // AttackMatrix runs the whole attack suite against every registered
@@ -38,7 +38,7 @@ func (r *Runner) AttackMatrix() ([]AttackCol, error) {
 				if err != nil {
 					return AttackCol{}, err
 				}
-				return AttackCol{Model: m, Results: res}, nil
+				return AttackCol{Model: m, Exposed: res}, nil
 			},
 		}
 	}
@@ -61,7 +61,7 @@ func RenderAttackMatrix(cols []AttackCol) Table {
 		row := []string{a.Name, a.Exploits.String()}
 		for _, c := range cols {
 			cell := "blocked"
-			if i < len(c.Results) && c.Results[i].Succeeded {
+			if i < len(c.Exposed) && c.Exposed[i] {
 				cell = "EXPOSED"
 				exposed++
 			}

@@ -24,8 +24,6 @@ type ReplayConfig struct {
 	Shards  int    // independent sub-streams (fixed by the experiment definition)
 	Seed    uint64
 
-	// CheckpointEvery saves a shard's cursor every N packets (0 = 64 Ki).
-	CheckpointEvery uint64
 	// CheckpointPath, if set, persists the checkpoint there and resumes
 	// from it when the file already exists.
 	CheckpointPath string
@@ -119,7 +117,7 @@ func digestFold(h, v uint64) uint64 {
 //
 // It decomposes the window into cfg.Shards engine jobs, each
 // walking its own budget stream (trace.NewCAIDABudget on the job-derived
-// RNG) against an nf.MonitorModel, checkpointing every CheckpointEvery
+// RNG) against an nf.MonitorModel, checkpointing every checkpointEvery
 // packets.
 func (r *Runner) ReplayCAIDA(cfg ReplayConfig) (ReplayResult, error) {
 	if err := cfg.validate(); err != nil {
@@ -162,6 +160,10 @@ func (r *Runner) ReplayCAIDA(cfg ReplayConfig) (ReplayResult, error) {
 	return res, nil
 }
 
+// checkpointEvery is the replay's save cadence: a shard saves its
+// cursor every 64 Ki packets.
+const checkpointEvery = 64 << 10
+
 func replayShard(s *engine.Shard, cfg ReplayConfig) (ReplayShardResult, error) {
 	share := trace.ShardShare(cfg.Flows, s.Index, cfg.Shards)
 	st := trace.NewCAIDABudget(s.Rng, share, cfg.PerFlow)
@@ -175,10 +177,6 @@ func replayShard(s *engine.Shard, cfg ReplayConfig) (ReplayShardResult, error) {
 			return ReplayShardResult{}, fmt.Errorf("exp: replay shard %d: %w", s.Index, err)
 		}
 		model = nf.RestoreMonitorModel(cur.Model)
-	}
-	every := cfg.CheckpointEvery
-	if every == 0 {
-		every = 64 << 10
 	}
 	save := func() error {
 		cur.Stream = st.Cursor()
@@ -212,7 +210,7 @@ func replayShard(s *engine.Shard, cfg ReplayConfig) (ReplayShardResult, error) {
 		if processed%posEvery == 0 {
 			s.Pos(st.Pos())
 		}
-		if cur.Packets%every == 0 {
+		if cur.Packets%checkpointEvery == 0 {
 			if err := save(); err != nil {
 				return ReplayShardResult{}, err
 			}

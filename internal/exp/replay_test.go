@@ -58,7 +58,7 @@ func TestReplayShardedSerialEquivalence(t *testing.T) {
 // checkpoint file — and demands the final merged result be
 // byte-identical to an uninterrupted run.
 func TestReplayCheckpointResume(t *testing.T) {
-	cfg := ReplayConfig{Flows: 6000, PerFlow: 3, Shards: 3, Seed: 0xCA1DA, CheckpointEvery: 500}
+	cfg := ReplayConfig{Flows: 6000, PerFlow: 3, Shards: 3, Seed: 0xCA1DA}
 	want, err := new(Runner).ReplayCAIDA(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,9 +12,9 @@ import (
 // TestLoadImportCycle pins the loader's cycle behavior: an import cycle
 // inside the module must not hang or crash the loader. The cycle guard
 // turns the re-entrant Load into an importer error, the type checker
-// records it as an ordinary type error, and both packages still come
-// back parsed — the build, not the linter, is the gate that rejects
-// cyclic programs.
+// treats it as an ordinary type error, and both packages still come
+// back parsed and type-checked — the build, not the linter, is the gate
+// that rejects cyclic programs.
 func TestLoadImportCycle(t *testing.T) {
 	loader := NewLoader("cyclemod", filepath.Join("testdata", "loader"))
 	a, err := loader.Load("cyclemod/a")
@@ -23,21 +25,33 @@ func TestLoadImportCycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load(cyclemod/b) = %v", err)
 	}
-	cycleSeen := false
-	for _, p := range []*Package{a, b} {
-		for _, e := range p.TypeErrors {
-			if strings.Contains(e.Error(), "cycle") {
-				cycleSeen = true
-			}
-		}
+	// The import that closes the cycle (b's of a) is the one refused:
+	// a's call of b.Pong resolves, b's call of a.Ping resolves to nothing.
+	if fn := firstCallee(a); fn == nil || fn.Name() != "Pong" {
+		t.Errorf("a's call resolves to %v, want b.Pong", fn)
 	}
-	if !cycleSeen {
-		t.Errorf("no type error mentions the import cycle: a=%v b=%v", a.TypeErrors, b.TypeErrors)
+	if fn := firstCallee(b); fn != nil {
+		t.Errorf("b's call resolves to %v through the refused import", fn)
 	}
 	// The packages must still be usable for syntactic checks.
 	if len(a.Files) == 0 || len(b.Files) == 0 {
 		t.Errorf("cycle members lost their parsed files: a=%d b=%d", len(a.Files), len(b.Files))
 	}
+}
+
+// firstCallee resolves the first call in pkg's first file.
+func firstCallee(pkg *Package) *types.Func {
+	var call *ast.CallExpr
+	ast.Inspect(pkg.Files[0].AST, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok && call == nil {
+			call = c
+		}
+		return call == nil
+	})
+	if call == nil {
+		return nil
+	}
+	return calleeOf(pkg.TypesInfo, call.Fun)
 }
 
 // TestLoadParseError asserts a syntactically broken file fails the Load

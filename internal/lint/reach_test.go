@@ -2,12 +2,14 @@ package lint
 
 import (
 	"fmt"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -27,34 +29,110 @@ var stdlibCallbacks = map[string]bool{
 // unexported state itself, or the function moves into a _test.go file.
 var reasonForm = regexp.MustCompile(`^(item [0-9]+: |cross-package oracle: .+ checks ).+`)
 
-// TestEveryFunctionIsReached walks the call graph from the programs the
-// module ships: main of every cmd/, examples/ and bench package, plus
-// the initializers of every package those programs import. A declared
-// function that no walk reaches is dead unless testdata/unreached.txt
-// lists it with a reason of reasonForm. The test fails both on an
-// unlisted unreached function and on a listed one that is now reached or
-// gone, so the list only ever describes the tree.
-func TestEveryFunctionIsReached(t *testing.T) {
-	root := moduleRoot(t)
-	loader := NewLoader("snic", root)
-	pkgs, err := loader.LoadPatterns(nil)
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
-	got := unreached(pkgs, (&Program{Fset: loader.Fset, Pkgs: pkgs}).Graph())
+// shipped is the module as its programs see it: every package, the call
+// graph, and the nodes a walk from the shipped programs reaches.
+type shipped struct {
+	pkgs    []*Package
+	graph   *Graph
+	reached map[*Node]bool
+}
 
-	listPath := filepath.Join("testdata", "unreached.txt")
-	data, err := os.ReadFile(listPath)
+var (
+	moduleOnce    sync.Once
+	moduleShipped *shipped
+	moduleErr     error
+)
+
+// loadModule loads the real module once for both reach tests.
+func loadModule(t *testing.T) *shipped {
+	t.Helper()
+	root := moduleRoot(t)
+	moduleOnce.Do(func() {
+		loader := NewLoader("snic", root)
+		pkgs, err := loader.LoadPatterns(nil)
+		if err != nil {
+			moduleErr = err
+			return
+		}
+		moduleShipped = reachShipped(loader.Fset, pkgs)
+	})
+	if moduleErr != nil {
+		t.Fatalf("load module: %v", moduleErr)
+	}
+	return moduleShipped
+}
+
+// reachShipped walks the call graph of pkgs from the programs the module
+// ships: main of every cmd/, examples/ and bench package, plus the
+// entry nodes (initializers and standard-library callbacks) of every
+// package those programs import.
+func reachShipped(fset *token.FileSet, pkgs []*Package) *shipped {
+	g := (&Program{Fset: fset, Pkgs: pkgs}).Graph()
+	var roots []*Node
+	imported := make(map[string]bool)
+	var importAll func(p *types.Package)
+	importAll = func(p *types.Package) {
+		if imported[p.Path()] {
+			return
+		}
+		imported[p.Path()] = true
+		for _, q := range p.Imports() {
+			importAll(q)
+		}
+	}
+	for _, p := range pkgs {
+		rel := strings.TrimPrefix(p.Path, "snic/")
+		if p.Types == nil || p.Types.Name() != "main" {
+			continue
+		}
+		if strings.HasPrefix(rel, "cmd/") || strings.HasPrefix(rel, "examples/") || rel == "bench" {
+			importAll(p.Types)
+			roots = append(roots, g.byFn[mainFunc(p.Types)])
+		}
+	}
+	for _, n := range g.Nodes {
+		if n.Pkg != nil && imported[n.Pkg.Path] && entry(n) {
+			roots = append(roots, n)
+		}
+	}
+	return &shipped{pkgs: pkgs, graph: g, reached: g.Reachable(roots)}
+}
+
+// TestEveryFunctionIsReached fails on a declared function that no walk
+// from the shipped programs reaches, unless testdata/unreached.txt lists
+// it with a reason of reasonForm. The test fails both on an unlisted
+// unreached function and on a listed one that is now reached or gone, so
+// the list only ever describes the tree.
+func TestEveryFunctionIsReached(t *testing.T) {
+	s := loadModule(t)
+	var got []string
+	for _, n := range s.graph.Nodes {
+		if n.Decl == nil || s.reached[n] || entry(n) || n.Fn.Name() == "_" {
+			continue
+		}
+		got = append(got, qualifiedName(n))
+	}
+	checkList(t, filepath.Join("testdata", "unreached.txt"), reasonForm, got,
+		"is reached by no cmd/, examples/ or bench program: call it from one, delete it, or list it with a reason in")
+}
+
+// checkList compares the findings got with the "name  reason" lines of
+// the list at path: it fails on a malformed or duplicate line, on a
+// finding the list does not name, and on a listed name that is no
+// longer a finding.
+func checkList(t *testing.T, path string, form *regexp.Regexp, got []string, unlisted string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	listed, bad := parseUnreached(string(data))
+	listed, bad := parseList(string(data), form)
 	for _, msg := range bad {
-		t.Errorf("%s:%s", listPath, msg)
+		t.Errorf("%s:%s", path, msg)
 	}
 	for _, name := range got {
 		if !listed[name] {
-			t.Errorf("%s is reached by no cmd/, examples/ or bench program: call it from one, delete it, or list it in %s with a reason", name, listPath)
+			t.Errorf("%s %s %s", name, unlisted, path)
 		}
 		delete(listed, name)
 	}
@@ -64,20 +142,20 @@ func TestEveryFunctionIsReached(t *testing.T) {
 	}
 	slices.Sort(stale)
 	for _, name := range stale {
-		t.Errorf("%s lists %s, which is now reached or gone: drop the line", listPath, name)
+		t.Errorf("%s lists %s, which is no longer a finding: drop the line", path, name)
 	}
 }
 
-// parseUnreached reads the "name  reason" lines of unreached.txt into the
-// set of listed names, and describes each malformed or duplicate line.
-func parseUnreached(data string) (map[string]bool, []string) {
+// parseList reads "name  reason" lines into the set of listed names, and
+// describes each line whose reason does not match form and each
+// duplicate.
+func parseList(data string, form *regexp.Regexp) (map[string]bool, []string) {
 	listed := make(map[string]bool)
 	var bad []string
 	for i, line := range strings.Split(strings.TrimRight(data, "\n"), "\n") {
 		name, reason, ok := strings.Cut(line, "  ")
-		if !ok || !reasonForm.MatchString(reason) {
-			bad = append(bad, fmt.Sprintf("%d: want %q or %q, got %q", i+1,
-				"name  item N: ...", "name  cross-package oracle: <test> checks <invariant>", line))
+		if !ok || !form.MatchString(reason) {
+			bad = append(bad, fmt.Sprintf("%d: want \"name  reason\" with a reason matching %s, got %q", i+1, form, line))
 			continue
 		}
 		if listed[name] {
@@ -102,67 +180,13 @@ func TestUnreachedReasonForms(t *testing.T) {
 		{"internal/x.F  items 8 and 9: the harnesses", false},
 		{"internal/x.F  cross-package oracle: y's TestZ", false},
 		{"internal/x.F  item 7:", false},
+		{"internal/x.F  test seam: y's TestZ injects a fake", false},
 		{"internal/x.F", false},
 	} {
-		if _, bad := parseUnreached(c.line + "\n"); (len(bad) == 0) != c.ok {
+		if _, bad := parseList(c.line+"\n", reasonForm); (len(bad) == 0) != c.ok {
 			t.Errorf("%q: accepted %v, want %v (%v)", c.line, len(bad) == 0, c.ok, bad)
 		}
 	}
-}
-
-// unreached returns the sorted names of the module functions that no
-// walk from the shipped programs reaches.
-func unreached(pkgs []*Package, g *Graph) []string {
-	var roots []*Node
-	imported := make(map[string]bool)
-	var importAll func(p *types.Package)
-	importAll = func(p *types.Package) {
-		if imported[p.Path()] {
-			return
-		}
-		imported[p.Path()] = true
-		for _, q := range p.Imports() {
-			importAll(q)
-		}
-	}
-	for _, p := range pkgs {
-		rel := strings.TrimPrefix(p.Path, "snic/")
-		if p.Types == nil || p.Types.Name() != "main" {
-			continue
-		}
-		if strings.HasPrefix(rel, "cmd/") || strings.HasPrefix(rel, "examples/") || rel == "bench" {
-			importAll(p.Types)
-			if n := g.byFn[mainFunc(p.Types)]; n != nil {
-				roots = append(roots, n)
-			}
-		}
-	}
-	for _, n := range g.Nodes {
-		if n.Pkg != nil && imported[n.Pkg.Path] && entry(n) {
-			roots = append(roots, n)
-		}
-	}
-	seen := make(map[*Node]bool)
-	for len(roots) > 0 {
-		n := roots[len(roots)-1]
-		roots = roots[:len(roots)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		for _, e := range n.Out {
-			roots = append(roots, e.To)
-		}
-	}
-	var dead []string
-	for _, n := range g.Nodes {
-		if n.Decl == nil || seen[n] || entry(n) || n.Fn.Name() == "_" {
-			continue
-		}
-		dead = append(dead, qualifiedName(n))
-	}
-	slices.Sort(dead)
-	return dead
 }
 
 // entry reports whether a module node runs without a module caller: a

@@ -15,17 +15,11 @@
 // value, not in the value itself.
 package memo
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// entry pairs a value slot with the once that fills it; done flips only
-// after the build completes, so a lock-free reader (the tests' Peek) can
-// tell a built value from an in-flight or never-requested one.
+// entry pairs a value slot with the once that fills it.
 type entry[V any] struct {
 	once sync.Once
-	done atomic.Bool
 	v    V
 }
 
@@ -44,10 +38,7 @@ func (c *Cache[K, V]) Get(key K, build func() V) V {
 		e, _ = c.m.LoadOrStore(key, new(entry[V]))
 	}
 	en := e.(*entry[V])
-	en.once.Do(func() {
-		en.v = build()
-		en.done.Store(true)
-	})
+	en.once.Do(func() { en.v = build() })
 	return en.v
 }
 

@@ -4,23 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
-
-// Peek returns the built value for key without building anything. The
-// second result is false if the key has never been requested or its
-// build has not completed yet.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	var zero V
-	e, ok := c.m.Load(key)
-	if !ok {
-		return zero, false
-	}
-	en := e.(*entry[V])
-	if !en.done.Load() {
-		return zero, false
-	}
-	return en.v, true
-}
 
 func TestGetBuildsOncePerKey(t *testing.T) {
 	var c Cache[int, int]
@@ -60,29 +45,10 @@ func TestGetSharesPointerValues(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
-	var c Cache[string, int]
-	if _, ok := c.Peek("missing"); ok {
-		t.Error("Peek on an empty cache reported a value")
-	}
-	c.Get("k", func() int { return 7 })
-	v, ok := c.Peek("k")
-	if !ok || v != 7 {
-		t.Errorf("Peek(k) = %d, %v; want 7, true", v, ok)
-	}
-	// Peek never builds: the key it probed must not appear as an entry.
-	if _, ok := c.Peek("other"); ok {
-		t.Error("Peek built a value")
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len() = %d after Peek, want 1", c.Len())
-	}
-}
-
-// TestPeekDoesNotObserveInFlightBuilds pins the lock-free contract: a
-// Peek racing a slow build reports absent rather than blocking on the
-// once or returning a half-written value.
-func TestPeekDoesNotObserveInFlightBuilds(t *testing.T) {
+// TestGetWaitsForInFlightBuild pins the blocking contract: a Get racing
+// a slow build of the same key waits for it and shares its value rather
+// than building again or returning a half-written one.
+func TestGetWaitsForInFlightBuild(t *testing.T) {
 	var c Cache[string, int]
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -96,12 +62,19 @@ func TestPeekDoesNotObserveInFlightBuilds(t *testing.T) {
 		})
 	}()
 	<-started
-	if _, ok := c.Peek("k"); ok {
-		t.Error("Peek observed an in-flight build")
+	got := make(chan int)
+	go func() { got <- c.Get("k", func() int { return -1 }) }()
+	select {
+	case v := <-got:
+		t.Fatalf("Get returned %d during an in-flight build", v)
+	case <-time.After(10 * time.Millisecond):
 	}
 	close(release)
 	<-donec
-	if v, ok := c.Peek("k"); !ok || v != 42 {
-		t.Errorf("Peek after build = %d, %v; want 42, true", v, ok)
+	if v := <-got; v != 42 {
+		t.Errorf("Get after build = %d, want 42", v)
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len() = %d, want 1", c.Len())
 	}
 }

@@ -20,12 +20,6 @@ type DPI struct {
 	auto     *ac.Automaton
 	blocking bool
 
-	// Stats.
-	Scanned  uint64
-	Matches  uint64
-	Alerts   []ac.Match
-	keepLast int
-
 	// rowsOnce guards rows, the Zipf sampler over graph rows that every
 	// stream shares. Its CDF depends only on the automaton's size, so it
 	// is built on the first NewStream and each stream draws from it with
@@ -44,28 +38,19 @@ func NewDPI(patterns [][]byte, blocking bool) (*DPI, error) {
 		return nil, err
 	}
 	a.Alloc(mem.SegHeap, auto.MemoryBytes())
-	return &DPI{arena: a, auto: auto, blocking: blocking, keepLast: 1024}, nil
+	return &DPI{arena: a, auto: auto, blocking: blocking}, nil
 }
 
 // Arena implements NF.
 func (d *DPI) Arena() *mem.Arena { return d.arena }
 
 // FixedFootprint implements NF: the automaton is sized at compile time,
-// and alerts go to an ordinary Go slice, never the arena.
+// and a scan allocates nothing in the arena.
 func (d *DPI) FixedFootprint() bool { return true }
 
 // Process implements NF.
 func (d *DPI) Process(p *pkt.Packet) Verdict {
-	d.Scanned++
-	ms := d.auto.Scan(p.Payload, nil)
-	if len(ms) == 0 {
-		return Pass
-	}
-	d.Matches += uint64(len(ms))
-	if len(d.Alerts) < d.keepLast {
-		d.Alerts = append(d.Alerts, ms...)
-	}
-	if d.blocking {
+	if len(d.auto.Scan(p.Payload, nil)) > 0 && d.blocking {
 		return Drop
 	}
 	return Pass

@@ -21,8 +21,6 @@ type Firewall struct {
 	order []hashmap.Key
 
 	// Stats.
-	Dropped uint64
-	Passed  uint64
 	Hits    uint64
 	Evicted uint64
 }
@@ -58,10 +56,8 @@ func (f *Firewall) Process(p *pkt.Packet) Verdict {
 	if v, ok := f.cache.Get(key); ok {
 		f.Hits++
 		if v == 1 {
-			f.Dropped++
 			return Drop
 		}
-		f.Passed++
 		return Pass
 	}
 	verdict := uint64(0)
@@ -83,10 +79,8 @@ func (f *Firewall) Process(p *pkt.Packet) Verdict {
 	f.cache.Put(key, verdict)
 	f.order = append(f.order, key)
 	if verdict == 1 {
-		f.Dropped++
 		return Drop
 	}
-	f.Passed++
 	return Pass
 }
 

@@ -17,7 +17,7 @@ func TestFixedFootprintHolds(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		cfg := TestScale(seed)
 		// Some payloads carry a real DPI pattern (the ones New compiles
-		// for this seed), so DPI's alert path runs too.
+		// for this seed), so DPI's match path runs too.
 		patterns := trace.DPIPatterns(sim.NewRand(seed), cfg.DPIPatterns)
 		for _, name := range Names {
 			idle, err := New(name, cfg)
@@ -30,15 +30,19 @@ func TestFixedFootprintHolds(t *testing.T) {
 			}
 			rng := sim.NewRand(seed)
 			pool := trace.NewICTF(rng.Fork(), 2000)
+			matched := 0
 			for i := 0; i < 5000; i++ {
 				_, p := pool.NextPacketBuf(trace.IMIXLen(rng))
 				if i%7 == 0 {
 					p.Payload = append(p.Payload[:0:0], patterns[i%len(patterns)]...)
 				}
 				f.Process(&p)
+				if d, ok := f.(*DPI); ok && len(d.auto.Scan(p.Payload, nil)) > 0 {
+					matched++
+				}
 			}
-			if d, ok := f.(*DPI); ok && d.Matches == 0 {
-				t.Fatalf("seed %d: no DPI alert raised; the alert path went untested", seed)
+			if _, ok := f.(*DPI); ok && matched == 0 {
+				t.Fatalf("seed %d: no payload matched a DPI pattern; the match path went untested", seed)
 			}
 
 			same := f.Arena().Profile() == idle.Arena().Profile() && f.Arena().Live() == idle.Arena().Live()

@@ -18,9 +18,6 @@ type LB struct {
 	table    *maglev.Table
 	conns    *hashmap.Map
 	backends []uint32 // backend VIP destinations
-
-	// Stats.
-	Balanced uint64
 }
 
 // NewLB builds a load balancer over the named backends.
@@ -65,7 +62,6 @@ func (l *LB) Process(p *pkt.Packet) Verdict {
 		l.conns.Put(key, idx)
 	}
 	p.Tuple.DstIP = l.backends[idx]
-	l.Balanced++
 	return Modified
 }
 

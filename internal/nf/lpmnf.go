@@ -14,11 +14,6 @@ import (
 type LPM struct {
 	arena *mem.Arena
 	table *lpm.Table
-
-	// Stats.
-	Routed  uint64
-	NoRoute uint64
-	LastHop uint16
 }
 
 // NewLPM builds the router and installs routes.
@@ -45,11 +40,8 @@ func (l *LPM) FixedFootprint() bool { return true }
 func (l *LPM) Process(p *pkt.Packet) Verdict {
 	nh, ok := l.table.Lookup(p.Tuple.DstIP)
 	if !ok {
-		l.NoRoute++
 		return Drop
 	}
-	l.LastHop = nh
-	l.Routed++
 	// Rewrite the destination MAC toward the next hop, as a router would.
 	p.DstMAC = pkt.MAC{0x02, 0x4E, 0x48, 0, byte(nh >> 8), byte(nh)}
 	p.TTL--

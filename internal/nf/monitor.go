@@ -16,9 +16,6 @@ import (
 type Monitor struct {
 	arena  *mem.Arena
 	counts *hashmap.Map
-
-	// Stats.
-	Packets uint64
 }
 
 // NewMonitor builds an empty monitor. If samples is non-nil it receives
@@ -43,7 +40,6 @@ func (m *Monitor) FixedFootprint() bool { return false }
 
 // Process implements NF.
 func (m *Monitor) Process(p *pkt.Packet) Verdict {
-	m.Packets++
 	m.counts.Add(hashmap.Key(p.Tuple.Key()), 1)
 	return Pass
 }

@@ -21,10 +21,6 @@ type NAT struct {
 	back     *hashmap.Map // allocated port -> packed inside (ip, port)
 	nextPort uint32
 	maxFlows int
-
-	// Stats.
-	Translated uint64
-	Exhausted  uint64
 }
 
 // NATMaxFlows is the port-pool bound from the paper.
@@ -66,14 +62,12 @@ func (n *NAT) Process(p *pkt.Packet) Verdict {
 		}
 		p.Tuple.DstIP = uint32(packed >> 16)
 		p.Tuple.DstPort = uint16(packed)
-		n.Translated++
 		return Modified
 	}
 	key := hashmap.Key(p.Tuple.Key())
 	port, ok := n.out.Get(key)
 	if !ok {
 		if n.out.Len() >= n.maxFlows || n.nextPort > 65535 {
-			n.Exhausted++
 			return Drop
 		}
 		port = uint64(n.nextPort)
@@ -87,7 +81,6 @@ func (n *NAT) Process(p *pkt.Packet) Verdict {
 	}
 	p.Tuple.SrcIP = n.external
 	p.Tuple.SrcPort = uint16(port)
-	n.Translated++
 	return Modified
 }
 

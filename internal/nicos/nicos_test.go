@@ -30,15 +30,15 @@ func TestCreateDestroyLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TotalMS() <= 0 || len(o.launched) != 1 || o.launched[id] != "firewall" {
-		t.Fatalf("rep=%+v running=%d name=%q", rep, len(o.launched), o.launched[id])
+	if rep.TotalMS() <= 0 || o.dev.NF(id) == nil {
+		t.Fatalf("rep=%+v launched=%v", rep, o.dev.NF(id) != nil)
 	}
 	tr, err := o.NFDestroy(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.TotalMS() <= 0 || len(o.launched) != 0 {
-		t.Fatalf("tr=%+v running=%d", tr, len(o.launched))
+	if tr.TotalMS() <= 0 || o.dev.NF(id) != nil {
+		t.Fatalf("tr=%+v still launched=%v", tr, o.dev.NF(id) != nil)
 	}
 }
 
@@ -47,8 +47,8 @@ func TestCreateFailurePropagates(t *testing.T) {
 	if _, _, err := o.NFCreate("bad", spec(0)); err == nil {
 		t.Fatal("empty mask accepted")
 	}
-	if len(o.launched) != 0 {
-		t.Fatal("failed create recorded")
+	if o.dev.FreeCores() != o.dev.Cores() {
+		t.Fatal("failed create left cores bound")
 	}
 }
 
@@ -69,7 +69,7 @@ func TestMultiTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a == b || len(o.launched) != 2 {
+	if a == b || o.dev.NF(a) == nil || o.dev.NF(b) == nil {
 		t.Fatal("tenants collide")
 	}
 	// The OS cannot map tenant memory through its device even though it

@@ -99,38 +99,18 @@ func PlanSegment(used uint64, ps PageSet) (SegmentPlan, error) {
 	return plan, nil
 }
 
-// Plan covers a multi-segment address space; each segment gets its own
-// pages (segments are not packed together, matching how text/data/code/
-// heap regions have distinct permissions and placement).
-type Plan struct {
-	Segments  []SegmentPlan
-	Entries   int
-	Used      uint64
-	Allocated uint64
-}
-
-// PlanSegments plans every segment and sums the totals.
-func PlanSegments(used []uint64, ps PageSet) (Plan, error) {
-	var p Plan
+// EntriesFor returns the TLB entries that cover the given segments under
+// ps. Each segment gets its own pages: segments are not packed together,
+// matching how text/data/code/heap regions have distinct permissions and
+// placement.
+func EntriesFor(used []uint64, ps PageSet) (int, error) {
+	n := 0
 	for _, u := range used {
 		sp, err := PlanSegment(u, ps)
 		if err != nil {
-			return Plan{}, err
+			return 0, err
 		}
-		p.Segments = append(p.Segments, sp)
-		p.Entries += sp.Entries
-		p.Used += sp.Used
-		p.Allocated += sp.Allocated
+		n += sp.Entries
 	}
-	return p, nil
-}
-
-// EntriesFor is a convenience returning just the TLB entry count for the
-// given segment sizes under ps.
-func EntriesFor(used []uint64, ps PageSet) (int, error) {
-	p, err := PlanSegments(used, ps)
-	if err != nil {
-		return 0, err
-	}
-	return p.Entries, nil
+	return n, nil
 }

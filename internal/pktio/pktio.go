@@ -77,10 +77,6 @@ type VPP struct {
 	head     int // next slot to fill
 	queue    []Descriptor
 
-	// Stats.
-	Delivered   uint64
-	DroppedFull uint64
-
 	// obs handles (per-tenant packet/byte accounting); nil until the
 	// owning Switch is observed.
 	obsRxPkts, obsRxBytes, obsRxDrops *obs.Counter
@@ -97,9 +93,6 @@ type Switch struct {
 	txReserved uint64
 	rules      []Rule
 	vpps       map[mem.Owner]*VPP
-
-	// Stats.
-	NoMatch uint64
 
 	// obs state; zero until Observe attaches a collector. VPPs created
 	// afterwards pick up per-tenant counters in CreateVPP.
@@ -232,14 +225,12 @@ func (s *Switch) Deliver(frame []byte) (mem.Owner, error) {
 		}
 		return r.Target, nil
 	}
-	s.NoMatch++
 	s.obsNoMatch.Inc()
 	return mem.Free, nil
 }
 
 func (v *VPP) push(pm *mem.Physical, frame []byte) error {
 	if len(v.queue) >= v.slots {
-		v.DroppedFull++
 		v.obsRxDrops.Inc()
 		return nil // tail drop, as hardware does
 	}
@@ -258,7 +249,6 @@ func (v *VPP) push(pm *mem.Physical, frame []byte) error {
 	if v.head == v.slots {
 		v.head = 0
 	}
-	v.Delivered++
 	if v.obsRxPkts != nil {
 		v.obsRxPkts.Inc()
 		v.obsRxBytes.Add(uint64(len(frame)))

@@ -2,9 +2,11 @@ package pktio
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 
 	"snic/internal/mem"
+	"snic/internal/obs"
 	"snic/internal/pkt"
 	"snic/internal/tlb"
 )
@@ -17,7 +19,19 @@ func setup(t *testing.T) (*mem.Physical, *Switch) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pm, NewSwitch(pm, 2<<20, 1<<20)
+	s := NewSwitch(pm, 2<<20, 1<<20)
+	s.Observe(obs.NewRegistry(), "nic")
+	return pm, s
+}
+
+// counter reads one of the switch's pktio counters: a tenant's for an
+// NF owner, the device-wide one for mem.Free.
+func counter(s *Switch, owner mem.Owner, name string) uint64 {
+	tenant := "-"
+	if owner != mem.Free {
+		tenant = "nf" + strconv.Itoa(int(owner))
+	}
+	return s.obsReg.Counter(obs.Label{Device: "nic", Owner: tenant, Component: "pktio", Name: name}).Value()
 }
 
 // makeVPP allocates a ring for owner and creates its VPP.
@@ -59,8 +73,8 @@ func TestDeliverToMatchingVPP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if owner != mem.FirstNF || v.Delivered != 1 {
-		t.Fatalf("owner=%d delivered=%d", owner, v.Delivered)
+	if owner != mem.FirstNF || counter(s, owner, "rx_packets") != 1 {
+		t.Fatalf("owner=%d delivered=%d", owner, counter(s, owner, "rx_packets"))
 	}
 	d, ok := v.Pop()
 	if !ok {
@@ -86,8 +100,8 @@ func TestNoMatchDropped(t *testing.T) {
 	if err != nil || owner != mem.Free {
 		t.Fatalf("owner=%d err=%v", owner, err)
 	}
-	if s.NoMatch != 1 {
-		t.Fatalf("NoMatch = %d", s.NoMatch)
+	if n := counter(s, mem.Free, "no_match"); n != 1 {
+		t.Fatalf("no_match = %d", n)
 	}
 }
 
@@ -99,8 +113,9 @@ func TestRuleOrderFirstMatchWins(t *testing.T) {
 	s.AddRule(Rule{Spec: MatchSpec{}, Target: mem.FirstNF + 1}) // catch-all
 	s.Deliver(frameFor(80, "a"))
 	s.Deliver(frameFor(443, "b"))
-	if vA.Delivered != 1 || vB.Delivered != 1 {
-		t.Fatalf("deliveries: %d, %d", vA.Delivered, vB.Delivered)
+	a, b := counter(s, vA.Owner, "rx_packets"), counter(s, vB.Owner, "rx_packets")
+	if a != 1 || b != 1 {
+		t.Fatalf("deliveries: %d, %d", a, b)
 	}
 }
 
@@ -121,8 +136,9 @@ func TestVNISteering(t *testing.T) {
 	s.Deliver(mk(42))
 	s.Deliver(mk(43))
 	s.Deliver(mk(44))
-	if v42.Delivered != 1 || v43.Delivered != 1 || s.NoMatch != 1 {
-		t.Fatalf("deliveries %d/%d nomatch %d", v42.Delivered, v43.Delivered, s.NoMatch)
+	a, b, none := counter(s, v42.Owner, "rx_packets"), counter(s, v43.Owner, "rx_packets"), counter(s, mem.Free, "no_match")
+	if a != 1 || b != 1 || none != 1 {
+		t.Fatalf("deliveries %d/%d nomatch %d", a, b, none)
 	}
 }
 
@@ -138,8 +154,9 @@ func TestRingTailDrop(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Deliver(frameFor(80, "x"))
 	}
-	if v.Delivered != 2 || v.DroppedFull != 3 {
-		t.Fatalf("delivered=%d dropped=%d", v.Delivered, v.DroppedFull)
+	delivered, dropped := counter(s, v.Owner, "rx_packets"), counter(s, v.Owner, "rx_dropped_full")
+	if delivered != 2 || dropped != 3 {
+		t.Fatalf("delivered=%d dropped=%d", delivered, dropped)
 	}
 }
 

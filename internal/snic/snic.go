@@ -121,6 +121,14 @@ type LaunchSpec struct {
 	DMAWindow *dma.HostRegion
 }
 
+// accelKinds orders the device's accelerators, and clusters orders a
+// spec's reservations the same way.
+var accelKinds = [4]accel.Kind{accel.DPI, accel.ZIP, accel.RAID, accel.CRYPTO}
+
+func (s LaunchSpec) clusters() [4]int {
+	return [4]int{s.DPIClusters, s.ZIPClusters, s.RAIDClusters, s.CryptoClusters}
+}
+
 // LaunchReport breaks down the simulated nf_launch latency (Figure 6).
 // PoolHit records whether the reservation was served from the warm
 // arena (always false on the default path).
@@ -167,10 +175,7 @@ type Device struct {
 	mgmt   *tlb.GuardedBank
 	sw     *pktio.Switch
 	dmaC   *dma.Controller
-	dpi    *accel.Accelerator
-	zip    *accel.Accelerator
-	raid   *accel.Accelerator
-	crypto *accel.Accelerator
+	accels [4]*accel.Accelerator // in accelKinds order
 	hw     *attest.Device
 	rates  Rates
 
@@ -218,10 +223,9 @@ func (d *Device) Observe(reg *obs.Registry, track string) {
 	d.obsLive = reg.Gauge(obs.Label{Device: d.cfg.Serial, Owner: "-", Component: "snic", Name: "live_nfs"})
 	d.sw.Observe(reg, d.cfg.Serial)
 	d.mgmt.Observe(reg, d.cfg.Serial, "mgmt")
-	d.dpi.Observe(reg, d.cfg.Serial)
-	d.zip.Observe(reg, d.cfg.Serial)
-	d.raid.Observe(reg, d.cfg.Serial)
-	d.crypto.Observe(reg, d.cfg.Serial)
+	for _, a := range d.accels {
+		a.Observe(reg, d.cfg.Serial)
+	}
 	d.ensureFastPathObs()
 }
 
@@ -244,7 +248,7 @@ func New(cfg Config, vendor *attest.Vendor) (*Device, error) {
 		return nil, err
 	}
 	var accels [4]*accel.Accelerator
-	for i, kind := range []accel.Kind{accel.DPI, accel.ZIP, accel.RAID, accel.CRYPTO} {
+	for i, kind := range accelKinds {
 		if accels[i], err = accel.New(kind, accelThreads, accelCluster); err != nil {
 			return nil, err
 		}
@@ -261,10 +265,7 @@ func New(cfg Config, vendor *attest.Vendor) (*Device, error) {
 		mgmt:      tlb.NewGuardedBank(1024, deny),
 		sw:        pktio.NewSwitch(pm, rxBufBytes, txBufBytes),
 		dmaC:      dma.NewController(cfg.Cores),
-		dpi:       accels[0],
-		zip:       accels[1],
-		raid:      accels[2],
-		crypto:    accels[3],
+		accels:    accels,
 		hw:        hw,
 		rates:     DefaultRates(),
 		coreOwner: make([]ID, cfg.Cores),
@@ -290,8 +291,11 @@ func (d *Device) Cores() int { return d.cfg.Cores }
 // accelerators (§4.4) — the per-function reservation budget a
 // fleet-level placer packs against.
 func (d *Device) AccelClusters() int {
-	return d.dpi.NumClusters() + d.zip.NumClusters() +
-		d.raid.NumClusters() + d.crypto.NumClusters()
+	n := 0
+	for _, a := range d.accels {
+		n += a.NumClusters()
+	}
+	return n
 }
 
 // FreeCores counts unallocated programmable cores.
@@ -436,30 +440,16 @@ func (d *Device) Launch(spec LaunchSpec) (LaunchReport, error) {
 
 	// 6. Accelerator clusters, each behind the NF's own mappings.
 	acEntries := bank.Entries()
-	var dpiCl, zipCl, raidCl, cryptoCl []*accel.Cluster
-	if spec.DPIClusters > 0 {
-		if dpiCl, err = d.dpi.Alloc(id, spec.DPIClusters, acEntries); err != nil {
+	counts := spec.clusters()
+	var clusters [4][]*accel.Cluster
+	for i, a := range d.accels {
+		if counts[i] <= 0 {
+			continue
+		}
+		if clusters[i], err = a.Alloc(id, counts[i], acEntries); err != nil {
 			return fail(err)
 		}
-		undo = append(undo, func() { d.dpi.Release(id) })
-	}
-	if spec.ZIPClusters > 0 {
-		if zipCl, err = d.zip.Alloc(id, spec.ZIPClusters, acEntries); err != nil {
-			return fail(err)
-		}
-		undo = append(undo, func() { d.zip.Release(id) })
-	}
-	if spec.RAIDClusters > 0 {
-		if raidCl, err = d.raid.Alloc(id, spec.RAIDClusters, acEntries); err != nil {
-			return fail(err)
-		}
-		undo = append(undo, func() { d.raid.Release(id) })
-	}
-	if spec.CryptoClusters > 0 {
-		if cryptoCl, err = d.crypto.Alloc(id, spec.CryptoClusters, acEntries); err != nil {
-			return fail(err)
-		}
-		undo = append(undo, func() { d.crypto.Release(id) })
+		undo = append(undo, func() { a.Release(id) })
 	}
 
 	// 7. DMA bank.
@@ -484,7 +474,7 @@ func (d *Device) Launch(spec LaunchSpec) (LaunchReport, error) {
 		lh.Add("rule", []byte(fmt.Sprintf("%+v", r)))
 	}
 	lh.Add("accel", []byte(fmt.Sprintf("dpi=%d zip=%d raid=%d crypto=%d",
-		spec.DPIClusters, spec.ZIPClusters, spec.RAIDClusters, spec.CryptoClusters)))
+		counts[0], counts[1], counts[2], counts[3])))
 
 	// Commit: bind cores last (nothing below can fail).
 	for _, c := range cores {
@@ -492,7 +482,7 @@ func (d *Device) Launch(spec LaunchSpec) (LaunchReport, error) {
 	}
 	v := &VirtualNIC{
 		ID: id, Cores: cores, Mem: region, TLB: bank, VPP: vpp,
-		DPI: dpiCl, ZIP: zipCl, RAIDs: raidCl, Crypto: cryptoCl,
+		DPI: clusters[0], ZIP: clusters[1], RAIDs: clusters[2], Crypto: clusters[3],
 		DMABank: bankDMA,
 		Hash:    lh.Sum(),
 	}
@@ -526,10 +516,9 @@ func (d *Device) Teardown(id ID) (TeardownReport, error) {
 		d.coreOwner[c] = mem.Free
 	}
 	d.sw.DestroyVPP(id)
-	d.dpi.Release(id)
-	d.zip.Release(id)
-	d.raid.Release(id)
-	d.crypto.Release(id)
+	for _, a := range d.accels {
+		a.Release(id)
+	}
 	if v.DMABank != nil {
 		v.DMABank.Unbind()
 	}

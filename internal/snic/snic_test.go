@@ -2,6 +2,7 @@ package snic
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -735,5 +736,31 @@ func TestRebootTearsDownAndRotatesAK(t *testing.T) {
 	}
 	if err := attest.Verify(vend.PublicKey(), q2, d.NF(rep2.ID).Hash, []byte("n2")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLaunchHashPinned pins the bytes nf_launch measures for one fixed
+// function: its image, core mask and memory size, each rule rendered
+// with %+v, and the "dpi=%d zip=%d raid=%d crypto=%d" accelerator
+// counts. Renaming, adding or reordering a pktio.MatchSpec field, or
+// changing the accelerator string, moves the hash.
+func TestLaunchHashPinned(t *testing.T) {
+	d := newDevice(t)
+	rep, err := d.Launch(LaunchSpec{
+		CoreMask: 0b0101,
+		Image:    []byte("pinned launch image"),
+		MemBytes: 2 << 20,
+		Rules: []pktio.MatchSpec{
+			{Proto: pkt.ProtoTCP, DstPortLo: 80, DstPortHi: 80},
+			{VNI: 42, SrcIP: 0x0A000000, SrcMask: 0xFF000000, DstIP: 0xC0A80100, DstMask: 0xFFFFFF00},
+		},
+		DPIClusters: 1, ZIPClusters: 2, RAIDClusters: 1, CryptoClusters: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "cadf065bcebd3ddcf768c83618cd269fb74a0944ad45d4239ab2fa2fe1701895"
+	if got := hex.EncodeToString(d.NF(rep.ID).Hash[:]); got != want {
+		t.Fatalf("launch hash = %s, want %s", got, want)
 	}
 }
