@@ -633,22 +633,31 @@ func BenchmarkChurnNF(b *testing.B) {
 // --- Streaming replay ------------------------------------------------------
 
 // BenchmarkReplayCAIDA is the trajectory benchmark for the full-scale
-// replay path: a scaled-down CAIDA-shaped window streamed through
-// sharded Monitor models. ns/op here is what `snicbench -scale full
-// -experiment replay` pays per ~150 k packets, so snicperf tracks it as
-// the cost anchor for the paper-scale (1.34 G packet) run.
+// replay path: scaled-down CAIDA-shaped windows streamed through sharded
+// Monitor models. The cases vary packets per flow, the one property the
+// replay's per-flow key encoding depends on: perflow=1 encodes a key
+// for every packet, perflow=3 is the golden shape, and perflow=50 is
+// the paper's ratio, which `snicbench -scale full -experiment replay`
+// streams 1.34 G packets of.
 func BenchmarkReplayCAIDA(b *testing.B) {
-	cfg := exp.ReplayConfig{Flows: 50000, PerFlow: 3, Shards: 4, Seed: 0xCA1DA}
-	var res exp.ReplayResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = new(exp.Runner).ReplayCAIDA(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, cfg := range []exp.ReplayConfig{
+		{Flows: 150000, PerFlow: 1, Shards: 4, Seed: 0xCA1DA},
+		{Flows: 50000, PerFlow: 3, Shards: 4, Seed: 0xCA1DA},
+		{Flows: 20000, PerFlow: 50, Shards: 4, Seed: 0xCA1DA},
+	} {
+		b.Run(fmt.Sprintf("perflow=%d", cfg.PerFlow), func(b *testing.B) {
+			var res exp.ReplayResult
+			for i := 0; i < b.N; i++ {
+				var err error
+				res, err = new(exp.Runner).ReplayCAIDA(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(res.PeakMB, "peak-MB")
+			b.ReportMetric(float64(res.Packets)/float64(b.Elapsed().Nanoseconds())*float64(b.N)*1e3, "Mpps")
+		})
 	}
-	b.ReportMetric(res.PeakMB, "peak-MB")
-	b.ReportMetric(float64(res.Packets)/float64(b.Elapsed().Nanoseconds())*float64(b.N)*1e3, "Mpps")
 }
 
 // BenchmarkCAIDAStreamDraw measures the per-packet cost of the CAIDA

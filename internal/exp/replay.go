@@ -176,6 +176,13 @@ func replayShard(s *engine.Shard, cfg ReplayConfig) (ReplayShardResult, error) {
 		if err := st.Seek(cur.Stream); err != nil {
 			return ReplayShardResult{}, fmt.Errorf("exp: replay shard %d: %w", s.Index, err)
 		}
+		// Every save writes the counters from the same packets the
+		// stream yielded; counters that disagree would resume into
+		// wrong totals.
+		if cur.Packets != st.Pos() || cur.Flows != st.TotalFlows() || cur.Model.Flows != cur.Flows {
+			return ReplayShardResult{}, fmt.Errorf("exp: replay shard %d cursor counts %d packets, %d flows and %d model flows, its stream %d packets and %d flows",
+				s.Index, cur.Packets, cur.Flows, cur.Model.Flows, st.Pos(), st.TotalFlows())
+		}
 		model = nf.RestoreMonitorModel(cur.Model)
 	}
 	save := func() error {
@@ -191,21 +198,28 @@ func replayShard(s *engine.Shard, cfg ReplayConfig) (ReplayShardResult, error) {
 	const posEvery = 4 << 10
 	s.Pos(st.Pos())
 	var processed uint64 // packets in this process run, for StopAfter
+	// Budget streams emit each flow's PerFlow packets consecutively. So
+	// a flow's key is encoded once, when the flow index changes (keyIdx
+	// -1 makes that the run's first packet, mid-flow after a resume too),
+	// and the first packet of every PerFlow group introduces a new flow:
+	// no per-flow state is needed even across a resume boundary.
+	var key [16]byte
+	keyIdx := -1
 	for {
-		_, p, ok := st.Next()
+		idx, p, ok := st.Next()
 		if !ok {
 			break
 		}
-		// Budget streams emit each flow's PerFlow packets consecutively,
-		// so the first packet of every group introduces a new flow — no
-		// per-flow state needed even across a resume boundary.
+		if idx != keyIdx {
+			key, keyIdx = p.Tuple.Key(), idx
+		}
 		newFlow := cur.Packets%uint64(cfg.PerFlow) == 0
 		model.Observe(newFlow)
 		if newFlow {
 			cur.Flows++
 		}
 		cur.Packets++
-		cur.Digest = digestKey(cur.Digest, p.Tuple.Key())
+		cur.Digest = digestKey(cur.Digest, key)
 		processed++
 		if processed%posEvery == 0 {
 			s.Pos(st.Pos())

@@ -111,7 +111,10 @@ func (c *CAIDAStream) Seek(cur Cursor) error {
 // has yielded at least one packet. (An Advance that lowers the per-flow
 // count mid-flow leaves more packets in flight than the new count; such
 // a cursor is refused until that flow drains. No caller does this:
-// budget streams never change the count.)
+// budget streams never change the count.) A budget stream, the one
+// kind never Advanced (elapsed 0), keeps one per-flow count for life,
+// so its position is exact: every flow before the in-flight one yielded
+// PerFlow packets and the in-flight one yielded PerFlow-Remaining > 0.
 func (cc caidaCursor) validPosition(pos uint64) error {
 	switch {
 	case cc.TotalFlows > cc.Target:
@@ -124,6 +127,10 @@ func (cc caidaCursor) validPosition(pos uint64) error {
 		return fmt.Errorf("trace: caida cursor has flow %d in flight after %d flows", cc.CurIdx, cc.TotalFlows)
 	case pos < cc.TotalFlows:
 		return fmt.Errorf("trace: caida cursor at packet %d after %d flows", pos, cc.TotalFlows)
+	case cc.Elapsed == 0 && (pos != cc.TotalFlows*uint64(cc.PerFlow)-uint64(cc.Remaining) ||
+		cc.TotalFlows > 0 && cc.Remaining == cc.PerFlow):
+		return fmt.Errorf("trace: caida cursor at packet %d, but %d flows of %d packets with %d left",
+			pos, cc.TotalFlows, cc.PerFlow, cc.Remaining)
 	}
 	return nil
 }

@@ -110,6 +110,12 @@ func TestCAIDASeekRejects(t *testing.T) {
 		"negative index":     func(c *caidaCursor, _ *uint64) { c.CurIdx = -1 },
 		"flow before start":  func(c *caidaCursor, _ *uint64) { c.TotalFlows, c.CurIdx, c.Remaining = 0, 2, 0 },
 		"pos behind flows":   func(_ *caidaCursor, pos *uint64) { *pos = 3 },
+		"pos off its flow":   func(_ *caidaCursor, pos *uint64) { *pos++ },
+		"remaining off pos":  func(c *caidaCursor, _ *uint64) { c.Remaining-- },
+		"no packet in flight": func(c *caidaCursor, pos *uint64) {
+			c.Remaining = c.PerFlow
+			*pos = (c.TotalFlows - 1) * uint64(c.PerFlow)
+		},
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
